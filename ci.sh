@@ -15,6 +15,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test --workspace"
 cargo test --workspace -q
 
+echo "== cargo test perfbench (the benchmark's tiny mode)"
+# The benchmark is a package of its own, outside the workspace, so the
+# workspace wall above never builds it. Its tiny-mode test runs every
+# workload end to end, so API drift in graphcore/simlocal/benchharness
+# fails here rather than at the next benchmark run.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "== cargo build --examples"
 # The examples are the public face of the library API; they must keep
 # compiling against the Protocol / message-layer surface.

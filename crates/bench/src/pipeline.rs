@@ -41,6 +41,7 @@ use crate::{forest_workload, hub_workload, Cli, Row};
 use graphcore::gen::GenGraph;
 use simlocal::obs::{Metric, Registry as ObsRegistry};
 use std::collections::HashMap;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -91,13 +92,50 @@ pub enum WorkloadKey {
     },
 }
 
+/// The workspace root, where the repo-relative paths of workload files
+/// start: two levels above this crate's manifest directory.
+fn workspace_root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("crates/bench sits two levels below the workspace root")
+}
+
+/// Where workload file `path` is read from: `path` itself when it exists
+/// (relative paths against the working directory), else a relative
+/// `path` under the workspace root, so suites run from any directory.
+/// A file found in neither place is a named error.
+pub(crate) fn resolve_workload_path(path: &str) -> Result<PathBuf, String> {
+    let given = Path::new(path);
+    if given.exists() {
+        return Ok(given.to_path_buf());
+    }
+    let rooted = workspace_root().join(given);
+    if given.is_relative() && rooted.exists() {
+        return Ok(rooted);
+    }
+    Err(format!(
+        "workload file {path} not found in the working directory or under the \
+         workspace root {}",
+        workspace_root().display()
+    ))
+}
+
+/// Reads the bytes of workload file `path` (see [`resolve_workload_path`]).
+pub(crate) fn read_workload_file(path: &str) -> Vec<u8> {
+    let resolved = resolve_workload_path(path).unwrap_or_else(|e| panic!("{e}"));
+    std::fs::read(&resolved)
+        .unwrap_or_else(|e| panic!("read workload file {}: {e}", resolved.display()))
+}
+
 /// Ingests `path` and wraps it as a [`GenGraph`] whose arboricity is the
 /// normalization report's degeneracy upper bound ([`graphcore::arboricity::
 /// ArboricityEstimate::safe_a`]) — the safe `a` to hand algorithms that
 /// require one when the true arboricity is unknown.
 pub fn file_workload(path: &str, largest_component: bool) -> GenGraph {
     let opts = graphcore::io::NormalizeOptions { largest_component };
-    let (graph, report) = graphcore::io::ingest_path(std::path::Path::new(path), opts)
+    let resolved = resolve_workload_path(path).unwrap_or_else(|e| panic!("{e}"));
+    let (graph, report) = graphcore::io::ingest_path(&resolved, opts)
         .unwrap_or_else(|e| panic!("ingest workload file: {e}"));
     GenGraph {
         graph,
@@ -136,8 +174,7 @@ impl WorkloadKey {
                 n,
                 largest_component,
             } => {
-                let bytes = std::fs::read(path)
-                    .unwrap_or_else(|e| panic!("read workload file {path}: {e}"));
+                let bytes = read_workload_file(path);
                 assert_eq!(
                     graphcore::io::content_hash(&bytes),
                     hash,
@@ -528,6 +565,18 @@ mod tests {
 
     fn cli(args: &[&str]) -> Cli {
         Cli::parse_from(args.iter().map(|s| s.to_string())).unwrap()
+    }
+
+    #[test]
+    fn workload_paths_resolve_under_the_workspace_root() {
+        let found = resolve_workload_path("testdata/road_excerpt.txt").unwrap();
+        assert!(found.ends_with("testdata/road_excerpt.txt"));
+        assert!(found.exists());
+        let err = resolve_workload_path("testdata/no_such_graph.txt").unwrap_err();
+        assert!(
+            err.contains("workload file testdata/no_such_graph.txt not found"),
+            "{err}"
+        );
     }
 
     fn small_tables() -> (Vec<WorkloadSpec>, Vec<RunSpec>) {

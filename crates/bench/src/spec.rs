@@ -124,8 +124,7 @@ impl WorkloadSpec {
                 path,
                 largest_component,
             } => {
-                let bytes = std::fs::read(path)
-                    .unwrap_or_else(|e| panic!("read workload file {path}: {e}"));
+                let bytes = pipeline::read_workload_file(path);
                 let gg = pipeline::file_workload(path, *largest_component);
                 vec![WorkloadKey::File {
                     path,
@@ -585,6 +584,33 @@ fn dynamic_rows(
     rows
 }
 
+/// Exits with a named error, before anything runs, when a selected
+/// experiment reads a workload file that cannot be found.
+fn check_workload_files(suite: &str, specs: &[ExperimentSpec], cli: &Cli) {
+    for spec in specs {
+        let (SpecKind::Rows {
+            workloads, runs, ..
+        }
+        | SpecKind::Dynamic {
+            workloads, runs, ..
+        }) = &spec.kind
+        else {
+            continue;
+        };
+        if !runs.iter().any(|r| cli.wants(r.exp)) {
+            continue;
+        }
+        for w in workloads {
+            if let WorkloadSpec::File { path, .. } = w {
+                if let Err(e) = pipeline::resolve_workload_path(path) {
+                    eprintln!("error: [{suite}] {e}");
+                    std::process::exit(2);
+                }
+            }
+        }
+    }
+}
+
 /// The shared suite engine: a thin shim over the pipeline layers. Every
 /// selected `Rows` experiment is planned ([`pipeline::plan_rows`]),
 /// scheduled across `--jobs` workers over one invocation-wide
@@ -597,6 +623,7 @@ pub fn execute(suite: &'static str, specs: &[ExperimentSpec], cli: &Cli) -> Suit
         print_list(suite, specs);
         std::process::exit(0);
     }
+    check_workload_files(suite, specs, cli);
     // `--metrics PATH`: one registry spans the whole invocation, sized
     // for the backend's shard count (sync runs use only the global
     // slots). A JSONL snapshot is appended after every experiment (tag =

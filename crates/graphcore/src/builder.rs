@@ -68,64 +68,48 @@ impl GraphBuilder {
     pub fn build(mut self) -> Graph {
         self.edges.sort_unstable();
         self.edges.dedup();
-        let n = self.n;
-        let edges = self.edges;
-
-        // Count degrees.
-        let mut degree = vec![0u32; n];
-        for &(u, v) in &edges {
-            degree[u as usize] += 1;
-            degree[v as usize] += 1;
-        }
-
-        // Prefix sums -> offsets.
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0u32;
-        offsets.push(0);
-        for d in &degree {
-            acc = acc.checked_add(*d).expect("half-edge count overflows u32");
-            offsets.push(acc);
-        }
-
-        // Fill adjacency; edges are sorted by (u, v) so each vertex's
-        // neighbor list ends up sorted (fill position walks forward).
-        let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        let mut neighbors = vec![0 as VertexId; acc as usize];
-        let mut edge_ids = vec![0 as EdgeId; acc as usize];
-        // First pass in sorted order places the higher endpoint's list
-        // entries also in sorted order because for fixed v the partners u
-        // appear in increasing order.
-        for (e, &(u, v)) in edges.iter().enumerate() {
-            let e = e as EdgeId;
-            let cu = cursor[u as usize] as usize;
-            neighbors[cu] = v;
-            edge_ids[cu] = e;
-            cursor[u as usize] += 1;
-            let cv = cursor[v as usize] as usize;
-            neighbors[cv] = u;
-            edge_ids[cv] = e;
-            cursor[v as usize] += 1;
-        }
-        // The pass above does NOT leave each list sorted in general
-        // (a vertex interleaves roles as lower/higher endpoint), so sort
-        // each list by neighbor id, carrying edge ids along.
-        for v in 0..n {
-            let lo = offsets[v] as usize;
-            let hi = offsets[v + 1] as usize;
-            let mut pairs: Vec<(VertexId, EdgeId)> = neighbors[lo..hi]
-                .iter()
-                .copied()
-                .zip(edge_ids[lo..hi].iter().copied())
-                .collect();
-            pairs.sort_unstable();
-            for (i, (nb, ei)) in pairs.into_iter().enumerate() {
-                neighbors[lo + i] = nb;
-                edge_ids[lo + i] = ei;
-            }
-        }
-
-        Graph::from_parts(offsets, neighbors, edge_ids, edges)
+        from_sorted_edges(self.n, self.edges)
     }
+}
+
+/// Lays out the CSR arrays for `edges`, which must be sorted by `(u, v)`,
+/// free of duplicates and stored with `u < v`; edge ids follow that
+/// order.
+///
+/// One pass places both half-edges of each edge, and every neighbor
+/// list comes out sorted: vertex `x`'s entries from edges `(u, x)`,
+/// `u < x`, all precede those from edges `(x, v)` in the sorted order,
+/// and within each group the partner increases. So no list needs a sort
+/// and no per-vertex buffer is allocated.
+pub(crate) fn from_sorted_edges(n: usize, edges: Vec<(VertexId, VertexId)>) -> Graph {
+    debug_assert!(edges.windows(2).all(|w| w[0] < w[1]));
+    let mut degree = vec![0u32; n];
+    for &(u, v) in &edges {
+        degree[u as usize] += 1;
+        degree[v as usize] += 1;
+    }
+    let mut offsets = Vec::with_capacity(n + 1);
+    let mut acc = 0u32;
+    offsets.push(0);
+    for d in &degree {
+        acc = acc.checked_add(*d).expect("half-edge count overflows u32");
+        offsets.push(acc);
+    }
+
+    let mut cursor = degree;
+    cursor.copy_from_slice(&offsets[..n]);
+    let mut neighbors = vec![0 as VertexId; acc as usize];
+    let mut edge_ids = vec![0 as EdgeId; acc as usize];
+    for (e, &(u, v)) in edges.iter().enumerate() {
+        for (owner, nb) in [(u, v), (v, u)] {
+            let c = &mut cursor[owner as usize];
+            neighbors[*c as usize] = nb;
+            edge_ids[*c as usize] = e as EdgeId;
+            *c += 1;
+        }
+    }
+
+    Graph::from_parts(offsets, neighbors, edge_ids, edges)
 }
 
 #[cfg(test)]
@@ -175,5 +159,52 @@ mod tests {
             assert_eq!(g.edge_between(u, v), Some(e));
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    mod build_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The CSR layout by per-vertex sort: place both half-edges in
+        /// edge order, then sort each list by neighbor, carrying edge ids.
+        fn sorted_per_list(n: usize, mut edges: Vec<(VertexId, VertexId)>) -> Graph {
+            edges.sort_unstable();
+            edges.dedup();
+            let mut lists: Vec<Vec<(VertexId, EdgeId)>> = vec![Vec::new(); n];
+            for (e, &(u, v)) in edges.iter().enumerate() {
+                lists[u as usize].push((v, e as EdgeId));
+                lists[v as usize].push((u, e as EdgeId));
+            }
+            let mut offsets = vec![0u32];
+            let (mut neighbors, mut edge_ids) = (Vec::new(), Vec::new());
+            for mut l in lists {
+                l.sort_unstable();
+                for (nb, e) in l {
+                    neighbors.push(nb);
+                    edge_ids.push(e);
+                }
+                offsets.push(neighbors.len() as u32);
+            }
+            Graph::from_parts(offsets, neighbors, edge_ids, edges)
+        }
+
+        proptest! {
+            // The single-pass layout is the sorted-list layout, edge ids
+            // included, for any edge multiset in any order.
+            #[test]
+            fn build_equals_sorted_lists(
+                n in 2usize..40,
+                raw in proptest::collection::vec((0u32..40, 0u32..40), 0..120),
+            ) {
+                let edges: Vec<(VertexId, VertexId)> = raw
+                    .into_iter()
+                    .map(|(u, v)| (u % n as u32, v % n as u32))
+                    .filter(|(u, v)| u != v)
+                    .collect();
+                let built = GraphBuilder::new(n).edges(edges.iter().copied()).build();
+                let normalized = edges.iter().map(|&(u, v)| (u.min(v), u.max(v))).collect();
+                prop_assert_eq!(built, sorted_per_list(n, normalized));
+            }
+        }
     }
 }

@@ -10,7 +10,7 @@
 //! stay index-aligned across batches — the invariant the engine's
 //! warm-start seam (`simlocal`) relies on.
 
-use crate::builder::GraphBuilder;
+use crate::builder::from_sorted_edges;
 use crate::csr::{Graph, VertexId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -123,24 +123,71 @@ pub fn churn_sequence(base: &Graph, plan: &ChurnPlan) -> Vec<EditBatch> {
 /// Applies one batch to `g`, returning the edited graph (same vertex
 /// set). Panics if a delete is absent or an insert already present —
 /// batches are only valid against the graph they were drawn for.
+///
+/// Linear in `m` plus the batch: the batch is validated against the
+/// sorted adjacency, then the already-sorted edge list is merged with the
+/// sorted deletes and inserts in one pass, so the edited graph's edge ids
+/// are those of a fresh build of its edge set.
 pub fn apply(g: &Graph, batch: &EditBatch) -> Graph {
-    let mut present: HashSet<(VertexId, VertexId)> = g.edges().map(|(_, e)| e).collect();
-    for &e in &batch.deletes {
-        assert!(present.remove(&e), "delete {e:?}: edge not present");
+    let n = g.n();
+    let mut deletes = batch.deletes.clone();
+    deletes.sort_unstable();
+    for (i, &e) in deletes.iter().enumerate() {
+        let present = e.0 < e.1 && (e.1 as usize) < n && g.has_edge(e.0, e.1);
+        let repeated = i > 0 && deletes[i - 1] == e;
+        assert!(present && !repeated, "delete {e:?}: edge not present");
     }
-    for &e in &batch.inserts {
+    let mut inserts = batch.inserts.clone();
+    inserts.sort_unstable();
+    for (i, &e) in inserts.iter().enumerate() {
         assert!(e.0 != e.1, "insert {e:?}: self-loop");
-        assert!(present.insert(e), "insert {e:?}: edge already present");
+        assert!(e.0 < e.1, "insert {e:?}: endpoints not stored as u < v");
+        assert!((e.1 as usize) < n, "edge {e:?} out of range for n={n}");
+        let present = g.has_edge(e.0, e.1) && deletes.binary_search(&e).is_err();
+        let repeated = i > 0 && inserts[i - 1] == e;
+        assert!(!present && !repeated, "insert {e:?}: edge already present");
     }
-    let mut sorted: Vec<(VertexId, VertexId)> = present.into_iter().collect();
-    sorted.sort_unstable();
-    GraphBuilder::new(g.n()).edges(sorted).build()
+
+    // Deletes are a sorted subset of the sorted edge list, and no insert
+    // equals a kept edge, so one merge yields the sorted edited set.
+    let mut edges = Vec::with_capacity(g.m() + inserts.len() - deletes.len());
+    let mut dels = deletes.iter().peekable();
+    let mut ins = inserts.into_iter().peekable();
+    for (_, e) in g.edges() {
+        if dels.next_if_eq(&&e).is_some() {
+            continue;
+        }
+        while let Some(x) = ins.next_if(|&x| x < e) {
+            edges.push(x);
+        }
+        edges.push(e);
+    }
+    edges.extend(ins);
+    from_sorted_edges(n, edges)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::GraphBuilder;
     use crate::gen;
+    use proptest::prelude::*;
+
+    /// The HashSet-rebuild `apply` the merge replaced: the oracle the
+    /// linear merge is pinned against.
+    fn apply_by_rebuild(g: &Graph, batch: &EditBatch) -> Graph {
+        let mut present: HashSet<(VertexId, VertexId)> = g.edges().map(|(_, e)| e).collect();
+        for &e in &batch.deletes {
+            assert!(present.remove(&e), "delete {e:?}: edge not present");
+        }
+        for &e in &batch.inserts {
+            assert!(e.0 != e.1, "insert {e:?}: self-loop");
+            assert!(present.insert(e), "insert {e:?}: edge already present");
+        }
+        let mut sorted: Vec<(VertexId, VertexId)> = present.into_iter().collect();
+        sorted.sort_unstable();
+        GraphBuilder::new(g.n()).edges(sorted).build()
+    }
 
     fn plan(seed: u64) -> ChurnPlan {
         ChurnPlan {
@@ -208,5 +255,64 @@ mod tests {
             deletes: vec![],
         };
         apply(&g, &b);
+    }
+
+    #[test]
+    #[should_panic(expected = "edge not present")]
+    fn apply_rejects_repeated_delete() {
+        let g = gen::path(4);
+        let b = EditBatch {
+            inserts: vec![],
+            deletes: vec![(1, 2), (1, 2)],
+        };
+        apply(&g, &b);
+    }
+
+    #[test]
+    #[should_panic(expected = "already present")]
+    fn apply_rejects_repeated_insert() {
+        let g = gen::path(4);
+        let b = EditBatch {
+            inserts: vec![(0, 3), (0, 3)],
+            deletes: vec![],
+        };
+        apply(&g, &b);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // The merge equals the rebuild, `Graph` for `Graph` (so edge ids
+        // too), along whole churn chains; each batch is also checked with
+        // one of its deletes re-inserted in the same batch.
+        #[test]
+        fn apply_equals_rebuild(
+            n in 2usize..60,
+            p_millis in 10u64..300,
+            gseed in 0u64..1000,
+            cseed in 0u64..1000,
+            inserts in 0usize..6,
+            deletes in 0usize..6,
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(gseed);
+            let base = gen::gnp(n, p_millis as f64 / 1000.0, &mut rng).graph;
+            let plan = ChurnPlan {
+                seed: cseed,
+                batches: 4,
+                inserts_per_batch: inserts,
+                deletes_per_batch: deletes,
+            };
+            let mut g = base.clone();
+            for batch in churn_sequence(&base, &plan) {
+                if let Some(&e) = batch.deletes.iter().find(|e| !batch.inserts.contains(e)) {
+                    let mut reinsert = batch.clone();
+                    reinsert.inserts.push(e);
+                    prop_assert_eq!(apply(&g, &reinsert), apply_by_rebuild(&g, &reinsert));
+                }
+                let merged = apply(&g, &batch);
+                prop_assert_eq!(&merged, &apply_by_rebuild(&g, &batch));
+                g = merged;
+            }
+        }
     }
 }

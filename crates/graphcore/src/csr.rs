@@ -18,7 +18,8 @@ pub type EdgeId = u32;
 ///
 /// Construct via [`crate::builder::GraphBuilder`] or a generator in
 /// [`crate::gen`]. Invariants (checked in debug builds and by the builder):
-/// no self-loops, no parallel edges, neighbor lists sorted by vertex id.
+/// no self-loops, no parallel edges, neighbor lists sorted by vertex id,
+/// and edge ids numbering the edges in `(u, v)` order.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Graph {
     /// `offsets[v]..offsets[v+1]` is the slice of `v`'s incident half-edges.
@@ -196,6 +197,7 @@ impl Graph {
             }
         }
         self.edges.iter().all(|&(a, b)| a < b && b < n)
+            && self.edges.windows(2).all(|w| w[0] < w[1])
     }
 }
 

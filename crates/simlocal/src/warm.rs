@@ -9,19 +9,34 @@
 //! Editing edge `{a, b}` only changes the incident-edge sets of `a` and
 //! `b`, so a vertex `u` whose cold run terminated in round `T_u` is
 //! untouched by the edit whenever every edit endpoint is farther than
-//! `T_u` from `u` — in the pre-edit *and* post-edit graph (either
-//! suffices; checking both is defensively conservative). Such a vertex
-//! is **frozen**: its entire message trajectory, termination round, and
-//! output are byte-identical between the old cold run and a fresh cold
-//! run on the edited graph.
+//! `T_u` from `u`. Such a vertex is **frozen**: its entire message
+//! trajectory, termination round, and output are byte-identical between
+//! the old cold run and a fresh cold run on the edited graph.
 //!
-//! The warm engine therefore re-steps only the vertices within the
-//! dependence ball of an edit, serving every frozen vertex's per-round
-//! messages and activity schedule from a [`Replay`] log recorded by the
-//! prior run. By induction over rounds the stepping vertices see exactly
-//! the slabs a cold run on the edited graph would show them, so warm
-//! outputs are **byte-identical** to a cold full re-solve — the property
-//! the proptests in this module pin.
+//! The distance to the edit endpoints is the same in the pre-edit and
+//! post-edit graph: every edited edge joins two endpoints, both sources
+//! of the BFS at distance 0, and an edge between two sources never lies
+//! on a shortest path from the source set. One BFS on the edited graph
+//! therefore decides the freeze rule, and it stops at depth
+//! `min(max_u T_u, radius)` because no vertex's ball is larger. (On a
+//! graph whose diameter is below that depth it still reaches every
+//! vertex of the component: only the vertices with `dist ≤ T_u` step.)
+//!
+//! The warm engine re-steps only the vertices within the dependence
+//! ball of an edit. A stepping vertex reads only its neighbors' slots,
+//! so of the frozen vertices only the *halo* — frozen neighbors of
+//! stepping vertices — has its per-round messages and activity schedule
+//! served, from a [`Replay`] log recorded by the prior run. By induction
+//! over rounds the stepping vertices see exactly what a cold run on the
+//! edited graph would show them, so warm outputs are **byte-identical**
+//! to a cold full re-solve — the property the proptests in this module
+//! pin.
+//!
+//! An update therefore costs the depth-capped BFS plus
+//! `O(ball + halo · rounds + edit)` plus a few `O(n)` slab passes of
+//! copy cost: the dense message slab, the BFS distances, the outputs,
+//! and the merged replay log, where each run of consecutive frozen
+//! vertices is one slice copy.
 //!
 //! Protocols opt in by overriding
 //! [`Protocol::dependence_radius`](crate::Protocol::dependence_radius):
@@ -43,19 +58,23 @@ use crate::obs::{Metric, Registry};
 use crate::protocol::{NeighborView, Protocol, StepCtx, Transition};
 use crate::wire::WireSize;
 use graphcore::{Graph, IdAssignment, VertexId};
-use std::collections::VecDeque;
+use std::ops::Range;
 use std::time::Instant;
 
 /// The message log of a completed run: everything a later warm start
 /// needs to replay the run's visible behavior without re-stepping it.
 ///
-/// `history[v][t]` is the message `v` had published entering round
-/// `t + 1` (`history[v][0]` is its initial publish). A vertex stops
-/// publishing when it terminates, so `history[v].len() == term[v] + 1`
-/// and the final entry is its terminal broadcast.
+/// Entry `t` of `v`'s history is the message `v` had published entering
+/// round `t + 1` (entry 0 is its initial publish). A vertex stops
+/// publishing when it terminates, so its history holds `term[v] + 1`
+/// messages and the last is its terminal broadcast. The histories are
+/// stored back to back in one flat log, `v`'s at
+/// `log[offsets[v]..offsets[v + 1]]`, so carrying a run of frozen
+/// vertices into the next log is a single slice copy.
 #[derive(Clone, Debug)]
 pub struct Replay<M> {
-    history: Vec<Vec<M>>,
+    log: Vec<M>,
+    offsets: Vec<usize>,
     term: Vec<u32>,
 }
 
@@ -72,11 +91,117 @@ impl<M: Clone> Replay<M> {
         &self.term
     }
 
-    /// The message of `v` visible to its neighbors entering `round`
-    /// (1-based); after `v` terminates this stays its final broadcast.
-    fn msg_entering(&self, v: usize, round: u32) -> &M {
-        let h = &self.history[v];
-        &h[(round as usize - 1).min(h.len() - 1)]
+    /// Every message `v` published, in round order.
+    fn history(&self, v: usize) -> &[M] {
+        &self.log[self.offsets[v]..self.offsets[v + 1]]
+    }
+
+    /// The replay of a run that logged every vertex.
+    fn from_round_log(log: &RoundLog<M>, term: Vec<u32>) -> Replay<M> {
+        let mut rows = log.rows();
+        let mut flat = Vec::with_capacity(log.msgs.len());
+        let mut offsets = Vec::with_capacity(term.len() + 1);
+        for &t in &term {
+            offsets.push(flat.len());
+            rows.append_next(t, &mut flat);
+        }
+        offsets.push(flat.len());
+        Replay {
+            log: flat,
+            offsets,
+            term,
+        }
+    }
+
+    /// The replay of a warm run: the `stepping` vertices (ascending)
+    /// take their recomputed histories from `fresh`, every other vertex
+    /// keeps its history from `self`, copied a run of consecutive frozen
+    /// vertices at a time.
+    fn merged(&self, stepping: &[VertexId], fresh: &RoundLog<M>, term: Vec<u32>) -> Replay<M> {
+        let n = term.len();
+        let replaced: usize = stepping
+            .iter()
+            .map(|&s| self.history(s as usize).len())
+            .sum();
+        let mut flat = Vec::with_capacity(self.log.len() - replaced + fresh.msgs.len());
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut rows = fresh.rows();
+        let mut next = 0;
+        for &s in stepping {
+            let s = s as usize;
+            self.copy_histories(next..s, &mut flat, &mut offsets);
+            offsets.push(flat.len());
+            rows.append_next(term[s], &mut flat);
+            next = s + 1;
+        }
+        self.copy_histories(next..n, &mut flat, &mut offsets);
+        offsets.push(flat.len());
+        Replay {
+            log: flat,
+            offsets,
+            term,
+        }
+    }
+
+    /// Appends the histories of the vertex range `vs` to `flat`, with
+    /// their start offsets to `offsets`.
+    fn copy_histories(&self, vs: Range<usize>, flat: &mut Vec<M>, offsets: &mut Vec<usize>) {
+        let (lo, hi) = (self.offsets[vs.start], self.offsets[vs.end]);
+        let base = flat.len();
+        offsets.extend(self.offsets[vs].iter().map(|&o| o - lo + base));
+        flat.extend_from_slice(&self.log[lo..hi]);
+    }
+}
+
+/// Messages in publication order, round-major: segment `t` holds the
+/// messages published in round `t` (the initial publishes for `t = 0`)
+/// by the logged vertices that stepped in it, in ascending vertex order.
+/// In round `t ≥ 1` those are exactly the logged vertices with
+/// termination round `≥ t`, which is what lets [`Rows`] read the log
+/// back one vertex at a time.
+struct RoundLog<M> {
+    msgs: Vec<M>,
+    starts: Vec<usize>,
+}
+
+impl<M: Clone> RoundLog<M> {
+    fn new() -> RoundLog<M> {
+        RoundLog {
+            msgs: Vec::new(),
+            starts: Vec::new(),
+        }
+    }
+
+    /// Opens the segment of the next round.
+    fn open_round(&mut self) {
+        self.starts.push(self.msgs.len());
+    }
+
+    /// A reader positioned at the first logged vertex.
+    fn rows(&self) -> Rows<'_, M> {
+        Rows {
+            log: self,
+            next: self.starts.clone(),
+        }
+    }
+}
+
+/// Vertex-major reader of a [`RoundLog`]: `next[t]` is where the next
+/// vertex's round-`t` message sits.
+struct Rows<'a, M> {
+    log: &'a RoundLog<M>,
+    next: Vec<usize>,
+}
+
+impl<M: Clone> Rows<'_, M> {
+    /// Appends the history of the next logged vertex — callers walk the
+    /// logged vertices in ascending order — which terminated in round
+    /// `term`.
+    fn append_next(&mut self, term: u32, out: &mut Vec<M>) {
+        for c in &mut self.next[..=term as usize] {
+            out.push(self.log.msgs[*c].clone());
+            *c += 1;
+        }
     }
 }
 
@@ -125,24 +250,30 @@ pub type Recorded<P> = (
     Replay<<P as Protocol>::Msg>,
 );
 
-/// Multi-source BFS distances from `sources` (u32::MAX = unreachable).
-fn multi_bfs(g: &Graph, sources: &[VertexId]) -> Vec<u32> {
+/// Multi-source BFS distances from `sources` out to distance `depth`
+/// (`u32::MAX` beyond `depth` or unreachable).
+fn bounded_bfs(g: &Graph, sources: &[VertexId], depth: u32) -> Vec<u32> {
     let mut dist = vec![u32::MAX; g.n()];
-    let mut queue = VecDeque::with_capacity(sources.len());
+    let mut queue = Vec::with_capacity(sources.len());
     for &s in sources {
         let su = s as usize;
         assert!(su < g.n(), "edit endpoint {s} out of range");
         if dist[su] != 0 {
             dist[su] = 0;
-            queue.push_back(s);
+            queue.push(s);
         }
     }
-    while let Some(u) = queue.pop_front() {
+    let mut head = 0;
+    while let Some(&u) = queue.get(head) {
+        head += 1;
         let du = dist[u as usize];
+        if du >= depth {
+            break; // the queue is ordered by distance: the rest sit at `depth`
+        }
         for &w in g.neighbors(u) {
             if dist[w as usize] == u32::MAX {
                 dist[w as usize] = du + 1;
-                queue.push_back(w);
+                queue.push(w);
             }
         }
     }
@@ -166,7 +297,9 @@ pub(crate) fn run_recorded<P: Protocol>(
 
     let mut states: Vec<P::State> = g.vertices().map(|v| protocol.init(g, ids, v)).collect();
     let mut msgs: Vec<P::Msg> = states.iter().map(|s| protocol.publish(s)).collect();
-    let mut history: Vec<Vec<P::Msg>> = msgs.iter().map(|m| vec![m.clone()]).collect();
+    let mut log = RoundLog::new();
+    log.open_round();
+    log.msgs.extend_from_slice(&msgs);
     let mut outputs: Vec<Option<P::Output>> = vec![None; n];
     let mut termination_round = vec![0u32; n];
     let mut active = ActiveSet::full(n);
@@ -203,6 +336,7 @@ pub(crate) fn run_recorded<P: Protocol>(
             };
             transitions.push((v, protocol.step(ctx)));
         });
+        log.open_round();
         for (v, t) in transitions.drain(..) {
             let vu = v as usize;
             let (s, out) = match t {
@@ -213,7 +347,7 @@ pub(crate) fn run_recorded<P: Protocol>(
             let mb = m.wire_bits();
             stats.msg_bits += mb;
             stats.max_msg_bits = stats.max_msg_bits.max(mb);
-            history[vu].push(m.clone());
+            log.msgs.push(m.clone());
             msgs[vu] = m;
             states[vu] = s;
             if let Some(o) = out {
@@ -232,19 +366,17 @@ pub(crate) fn run_recorded<P: Protocol>(
         .into_iter()
         .map(|o| o.expect("terminated vertex must have an output"))
         .collect();
+    let replay = Replay::from_round_log(&log, termination_round.clone());
     Ok((
         SimOutcome {
             outputs,
             metrics: RoundMetrics {
-                termination_round: termination_round.clone(),
+                termination_round,
                 active_per_round,
             },
             stats,
         },
-        Replay {
-            history,
-            term: termination_round,
-        },
+        replay,
     ))
 }
 
@@ -269,6 +401,12 @@ pub(crate) fn run_warm<P: Protocol>(
         n,
         "prior outputs must cover all vertices"
     );
+    debug_assert!(
+        prior.old_graph.vertices().all(|v| {
+            prior.old_graph.neighbors(v) == g.neighbors(v) || prior.touched.contains(&v)
+        }),
+        "every vertex whose adjacency the edits changed must be touched"
+    );
     let ob = obs.map(|r| r.handle(0));
 
     let Some(radius) = protocol.dependence_radius(g) else {
@@ -291,53 +429,61 @@ pub(crate) fn run_warm<P: Protocol>(
     };
 
     // Freeze rule: re-step exactly the vertices with an edit endpoint
-    // inside their dependence ball, in either the old or new topology.
-    let dist_old = multi_bfs(prior.old_graph, prior.touched);
-    let dist_new = multi_bfs(g, prior.touched);
-    let stepping: Vec<bool> = (0..n)
-        .map(|v| {
-            let cap = prior.replay.term[v].min(radius);
-            dist_old[v].min(dist_new[v]) <= cap
-        })
-        .collect();
-    let reactivated = stepping.iter().filter(|&&b| b).count();
+    // inside their dependence ball. One BFS on the edited graph serves
+    // both topologies (see the module docs), and it need not look past
+    // the largest ball any vertex has.
+    let term_prior = prior.replay.term();
+    let depth = radius.min(term_prior.iter().copied().max().unwrap_or(0));
+    let dist = bounded_bfs(g, prior.touched, depth);
+    let steps = |v: VertexId| dist[v as usize] <= term_prior[v as usize].min(radius);
+    let stepping: Vec<VertexId> = (0..n as VertexId).filter(|&v| steps(v)).collect();
+    let reactivated = stepping.len();
     if let Some(o) = ob {
         o.add(Metric::EngineWarmRuns, 1);
         o.add(Metric::EngineReactivated, reactivated as u64);
+    }
+    // Stepping vertices read only their neighbors' slots, so of the
+    // frozen vertices only this halo needs its replayed schedule served:
+    // `(vertex, recorded termination round, start of its history)`.
+    let mut in_halo = vec![false; n];
+    let mut halo: Vec<(usize, u32, usize)> = Vec::new();
+    for &v in &stepping {
+        for &u in g.neighbors(v) {
+            let uu = u as usize;
+            if !steps(u) && !in_halo[uu] {
+                in_halo[uu] = true;
+                halo.push((uu, term_prior[uu], prior.replay.offsets[uu]));
+            }
+        }
     }
 
     let max_rounds = cfg.max_rounds.unwrap_or_else(|| protocol.max_rounds(g));
     let run_t0 = Instant::now();
 
-    // Slabs. Stepping vertices re-init on the edited graph; frozen
-    // slots serve the replay log and are never stepped.
-    let mut states: Vec<Option<P::State>> = (0..n)
-        .map(|v| stepping[v].then(|| protocol.init(g, ids, v as VertexId)))
-        .collect();
-    let mut msgs: Vec<P::Msg> = (0..n)
-        .map(|v| match &states[v] {
-            Some(s) => protocol.publish(s),
-            None => prior.replay.history[v][0].clone(),
+    // Slabs. The message slab is dense because NeighborView indexes it
+    // by vertex; frozen slots start at their initial publish. Stepping
+    // vertices re-init on the edited graph.
+    let mut msgs: Vec<P::Msg> = (0..n).map(|v| prior.replay.history(v)[0].clone()).collect();
+    let mut log = RoundLog::new();
+    log.open_round();
+    let mut live: Vec<(VertexId, P::State)> = stepping
+        .iter()
+        .map(|&v| {
+            let s = protocol.init(g, ids, v);
+            let m = protocol.publish(&s);
+            log.msgs.push(m.clone());
+            msgs[v as usize] = m;
+            (v, s)
         })
         .collect();
-    let mut history: Vec<Vec<P::Msg>> = (0..n)
-        .map(|v| {
-            if stepping[v] {
-                vec![msgs[v].clone()]
-            } else {
-                Vec::new() // filled from the prior log at the end
-            }
-        })
-        .collect();
-    let mut outputs: Vec<Option<P::Output>> = vec![None; n];
+    let mut outputs: Vec<P::Output> = prior.outputs.to_vec();
     let mut termination_round = vec![0u32; n];
+    let mut term_cold = term_prior.to_vec();
 
-    // Two activity structures: `active` drives iteration (stepping
-    // vertices only); `visible` is the snapshot NeighborView serves and
-    // follows the *cold* schedule — frozen vertices stay visible-active
-    // until their recorded termination round.
-    let mut active = ActiveSet::full(n);
-    active.retire(|v| !stepping[v as usize]);
+    // `live` drives iteration (stepping vertices only); `visible` is the
+    // snapshot NeighborView serves and follows the *cold* schedule —
+    // halo vertices stay visible-active until their recorded
+    // termination round.
     let wlen = n.div_ceil(64).max(1);
     let mut visible = vec![u64::MAX; wlen];
     if !n.is_multiple_of(64) {
@@ -346,32 +492,29 @@ pub(crate) fn run_warm<P: Protocol>(
     if n == 0 {
         visible[0] = 0;
     }
-    // Frozen vertices whose cold schedule is still unfolding, i.e.
-    // whose messages/activity may yet change round-over-round.
-    let mut frozen_live: Vec<VertexId> = (0..n as u32).filter(|&v| !stepping[v as usize]).collect();
 
     let mut transitions = Vec::with_capacity(reactivated);
     let mut active_per_round: Vec<usize> = Vec::new();
     let mut stats = EngineStats::default();
 
     let mut round: u32 = 0;
-    while !active.is_empty() {
+    while !live.is_empty() {
         round += 1;
         if round > max_rounds {
             return Err(EngineError::RoundLimitExceeded {
                 max_rounds,
-                still_active: active.count(),
+                still_active: live.len(),
             });
         }
-        let stepped = active.count();
+        let stepped = live.len();
         active_per_round.push(stepped);
-        active.for_each(|v| {
+        for &(v, ref state) in &live {
             let ctx = StepCtx {
                 graph: g,
                 ids,
                 v,
                 round,
-                state: states[v as usize].as_ref().expect("stepping vertex"),
+                state,
                 view: NeighborView {
                     graph: g,
                     v,
@@ -380,9 +523,12 @@ pub(crate) fn run_warm<P: Protocol>(
                 },
                 run_seed: cfg.seed,
             };
-            transitions.push((v, protocol.step(ctx)));
-        });
-        for (v, t) in transitions.drain(..) {
+            transitions.push(protocol.step(ctx));
+        }
+        log.open_round();
+        let mut kept = 0;
+        for (i, t) in transitions.drain(..).enumerate() {
+            let v = live[i].0;
             let vu = v as usize;
             let (s, out) = match t {
                 Transition::Continue(s) => (s, None),
@@ -392,28 +538,32 @@ pub(crate) fn run_warm<P: Protocol>(
             let mb = m.wire_bits();
             stats.msg_bits += mb;
             stats.max_msg_bits = stats.max_msg_bits.max(mb);
-            history[vu].push(m.clone());
+            log.msgs.push(m.clone());
             msgs[vu] = m;
-            states[vu] = Some(s);
-            if let Some(o) = out {
-                outputs[vu] = Some(o);
-                termination_round[vu] = round;
-                visible[vu >> 6] &= !(1u64 << (vu & 63));
+            match out {
+                Some(o) => {
+                    outputs[vu] = o;
+                    termination_round[vu] = round;
+                    term_cold[vu] = round;
+                    visible[vu >> 6] &= !(1u64 << (vu & 63));
+                }
+                None => {
+                    live[kept] = (v, s);
+                    kept += 1;
+                }
             }
         }
-        active.retire(|v| termination_round[v as usize] == round);
-        // Advance the frozen vertices' recorded schedule: refresh the
-        // message slots of those that stepped in this cold round, hide
-        // those that terminated in it.
-        frozen_live.retain(|&u| {
-            let uu = u as usize;
-            let term = prior.replay.term[uu];
+        live.truncate(kept);
+        // Advance the halo's recorded schedule: refresh the message slots
+        // of those that stepped in this cold round, hide those that
+        // terminated in it.
+        halo.retain(|&(u, term, start)| {
             if term >= round {
                 // The message the cold run would show entering round + 1.
-                msgs[uu] = prior.replay.msg_entering(uu, round + 1).clone();
+                msgs[u] = prior.replay.log[start + round as usize].clone();
             }
             if term == round {
-                visible[uu >> 6] &= !(1u64 << (uu & 63));
+                visible[u >> 6] &= !(1u64 << (u & 63));
             }
             term > round
         });
@@ -423,22 +573,11 @@ pub(crate) fn run_warm<P: Protocol>(
 
     stats.rounds = round;
     stats.wall = run_t0.elapsed();
-    // Merge: stepping vertices contribute their recomputed trajectory,
-    // frozen vertices carry the prior run's forward unchanged. The
-    // outcome's termination rounds stay 0 for frozen (update cost); the
-    // replay's `term` is the cold-equivalent round for every vertex.
-    let mut term_cold = termination_round.clone();
-    let outputs: Vec<P::Output> = (0..n)
-        .map(|v| match outputs[v].take() {
-            Some(o) => o,
-            None => {
-                debug_assert!(!stepping[v]);
-                term_cold[v] = prior.replay.term[v];
-                history[v] = prior.replay.history[v].clone();
-                prior.outputs[v].clone()
-            }
-        })
-        .collect();
+    // Stepping vertices contribute their recomputed trajectory, frozen
+    // vertices carry the prior run's forward unchanged. The outcome's
+    // termination rounds stay 0 for frozen (update cost); the replay's
+    // `term` is the cold-equivalent round for every vertex.
+    let replay = prior.replay.merged(&stepping, &log, term_cold);
     Ok(WarmOutcome {
         outcome: SimOutcome {
             outputs,
@@ -448,10 +587,7 @@ pub(crate) fn run_warm<P: Protocol>(
             },
             stats,
         },
-        replay: Replay {
-            history,
-            term: term_cold,
-        },
+        replay,
         stats: WarmStats {
             reactivated,
             full_resolve: false,
@@ -627,13 +763,20 @@ mod tests {
             );
             assert!(!warm.stats.full_resolve);
             assert!(warm.stats.reactivated <= base.n());
-            // The replay must chain: its history is what a recorded cold
-            // run on the edited graph would have logged.
+            // The replay must chain: every vertex's history is what a
+            // recorded cold run on the edited graph would have logged.
             let (_, cold_replay) = run_recorded(protocol, &g, &idv, cfg).unwrap();
             assert_eq!(
-                warm.replay.history, cold_replay.history,
-                "batch {bi}: replay log"
+                warm.replay.term, cold_replay.term,
+                "batch {bi}: replay term"
             );
+            for v in 0..g.n() {
+                assert_eq!(
+                    warm.replay.history(v),
+                    cold_replay.history(v),
+                    "batch {bi}: replay log of vertex {v}"
+                );
+            }
             // Update-cost metrics stay internally consistent.
             warm.outcome.metrics.check_identities().unwrap();
             outputs = warm.outcome.outputs;
@@ -656,12 +799,7 @@ mod tests {
         assert_eq!(rec.stats.steps, plain.stats.steps);
         assert_eq!(replay.term(), plain.metrics.termination_round.as_slice());
         for v in 0..g.n() {
-            assert_eq!(replay.history[v].len() as u32, replay.term[v] + 1);
-            assert_eq!(
-                *replay.msg_entering(v, replay.term[v] + 5),
-                *replay.history[v].last().unwrap(),
-                "terminal broadcast is sticky"
-            );
+            assert_eq!(replay.history(v).len() as u32, replay.term[v] + 1);
         }
     }
 
@@ -803,6 +941,42 @@ mod tests {
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(12))]
+
+            // The lemma behind the single BFS: when every edit endpoint is
+            // a source, distances agree on the pre- and post-edit graph,
+            // and a depth-capped BFS agrees with the full one up to its
+            // cap.
+            #[test]
+            fn bfs_from_edit_endpoints_ignores_the_edit(
+                n in 2usize..80,
+                p_millis in 10u64..120,
+                gseed in 0u64..1000,
+                cseed in 0u64..1000,
+                inserts in 0usize..5,
+                deletes in 0usize..5,
+                extra in proptest::collection::vec(0u32..80, 0..4),
+                depth in 0u32..6,
+            ) {
+                let old = rg(n, p_millis as f64 / 1000.0, gseed);
+                let plan = ChurnPlan {
+                    seed: cseed,
+                    batches: 1,
+                    inserts_per_batch: inserts,
+                    deletes_per_batch: deletes,
+                };
+                let batch = &churn_sequence(&old, &plan)[0];
+                let new = apply(&old, batch);
+                let mut sources = batch.endpoints();
+                sources.extend(extra.iter().map(|&v| v % n as u32));
+                let d_old = bounded_bfs(&old, &sources, u32::MAX);
+                let d_new = bounded_bfs(&new, &sources, u32::MAX);
+                prop_assert_eq!(&d_old, &d_new);
+                let capped = bounded_bfs(&new, &sources, depth);
+                for v in 0..n {
+                    let expect = if d_new[v] <= depth { d_new[v] } else { u32::MAX };
+                    prop_assert_eq!(capped[v], expect);
+                }
+            }
 
             // The headline pin: across random graphs, churn seeds, and
             // batch shapes, the incremental re-solve chain is

@@ -78,8 +78,18 @@ const FAMILIES: &[&str] = &[
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("run") => cmd_run(&parse_flags(&args[1..])),
-        Some("graph") => cmd_graph(&parse_flags(&args[1..])),
+        Some(cmd @ ("run" | "graph")) => {
+            let flags = parse_flags(&args[1..]);
+            if let Err(e) = check_ranges(&flags) {
+                eprintln!("error: {e}");
+                return ExitCode::from(2);
+            }
+            if cmd == "run" {
+                cmd_run(&flags)
+            } else {
+                cmd_graph(&flags)
+            }
+        }
         Some("list") => {
             println!("algorithms: {}", ALGOS.join(", "));
             println!("families:   {}", FAMILIES.join(", "));
@@ -121,6 +131,24 @@ fn get<T: std::str::FromStr>(flags: &BTreeMap<String, String>, key: &str, defaul
             std::process::exit(2)
         }),
     }
+}
+
+/// Rejects numeric parameters outside the range the generators and
+/// algorithms are defined for, before any of them can assert on it.
+fn check_ranges(flags: &BTreeMap<String, String>) -> Result<(), String> {
+    let a: usize = get(flags, "a", 2);
+    if a < 1 {
+        return Err(format!("--a must be at least 1 (got {a})"));
+    }
+    let k: u32 = get(flags, "k", 2);
+    if k < 2 {
+        return Err(format!("--k must be at least 2 (got {k})"));
+    }
+    let eps: f64 = get(flags, "eps", 2.0);
+    if !(eps > 0.0 && eps <= 2.0) {
+        return Err(format!("--eps must be in (0, 2] (got {eps})"));
+    }
+    Ok(())
 }
 
 fn build_workload(flags: &BTreeMap<String, String>) -> gen::GenGraph {
@@ -652,6 +680,28 @@ mod tests {
         assert_eq!(flags.get("parallel").unwrap(), "true");
         assert_eq!(flags.get("json").unwrap(), "true");
         assert_eq!(get::<usize>(&flags, "n", 0), 64);
+    }
+
+    #[test]
+    fn out_of_range_parameters_are_named_errors() {
+        let flags = |pairs: &[(&str, &str)]| -> BTreeMap<String, String> {
+            pairs
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect()
+        };
+        assert!(check_ranges(&flags(&[])).is_ok());
+        assert!(check_ranges(&flags(&[("a", "1"), ("k", "2"), ("eps", "0.5")])).is_ok());
+        for (key, val, msg) in [
+            ("a", "0", "--a must be at least 1"),
+            ("k", "1", "--k must be at least 2"),
+            ("eps", "0", "--eps must be in (0, 2]"),
+            ("eps", "2.5", "--eps must be in (0, 2]"),
+            ("eps", "NaN", "--eps must be in (0, 2]"),
+        ] {
+            let err = check_ranges(&flags(&[(key, val)])).unwrap_err();
+            assert!(err.contains(msg), "--{key} {val}: {err}");
+        }
     }
 
     #[test]

@@ -286,3 +286,31 @@ fn io_parser_surfaces_line_numbers() {
         "error should name the offending line: {err}"
     );
 }
+
+#[test]
+fn cli_rejects_out_of_range_parameters_without_panicking() {
+    for args in [
+        &[
+            "--algo",
+            "ka",
+            "--family",
+            "forest_union",
+            "--n",
+            "100",
+            "--a",
+            "0",
+        ][..],
+        &["--algo", "ka", "--n", "100", "--k", "1"][..],
+        &["--algo", "partition", "--n", "100", "--eps", "0"][..],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_distsym"))
+            .arg("run")
+            .args(args)
+            .output()
+            .expect("run distsym");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: --"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
