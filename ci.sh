@@ -129,6 +129,12 @@ echo "== trace smoke: export + self-validate JSONL and Chrome-trace"
     --out target/ci-trace > /dev/null
 test -s target/ci-trace/trace.jsonl
 test -s target/ci-trace/trace.chrome.json
+# Again under parallel fan-out: the observed hooks are replayed from
+# per-worker event buffers, and the same self-validation must pass.
+./target/release/trace --algo rand_delta_plus_one --n 4096 --a 2 --seed 1 \
+    --parallel --out target/ci-trace-par > /dev/null
+test -s target/ci-trace-par/trace.jsonl
+test -s target/ci-trace-par/trace.chrome.json
 
 echo "== congest audit: per-algorithm message-width claims"
 # Runs every registry algorithm once and checks each declared CONGEST

@@ -44,7 +44,11 @@ fn parse_args() -> Args {
                 args.reps = value("--reps").parse().unwrap_or_else(|e| {
                     eprintln!("--reps: {e}");
                     exit(2);
-                })
+                });
+                if args.reps == 0 {
+                    eprintln!("--reps must be at least 1");
+                    exit(2);
+                }
             }
             "--note" => args.notes.push(value("--note")),
             "--list" => args.list = true,

@@ -85,6 +85,9 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
+    if args.a == 0 {
+        return Err("--a must be at least 1 (the forest workload's arboricity)".into());
+    }
     Ok(args)
 }
 

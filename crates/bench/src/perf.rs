@@ -21,9 +21,7 @@
 
 use crate::results::{fnum, quote, Json};
 use graphcore::{gen, Graph, IdAssignment, VertexId};
-use simlocal::{
-    ActorRunner, EngineStats, EngineTuning, Protocol, Runner, StepCtx, Toggle, Transition,
-};
+use simlocal::{ActorRunner, EngineStats, Protocol, Runner, StepCtx, Telemetry, Transition};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -57,7 +55,7 @@ pub struct PerfEntry {
     pub best_wall_ns: u64,
     /// `vertex_rounds / best_wall` in rounds/second — the gated number.
     pub vr_per_sec: f64,
-    /// Fraction of rounds the sync engine took its in-place fast path
+    /// Fraction of rounds the sync engine ran without per-vertex hooks
     /// (`simlocal_engine_fast_rounds_total / simlocal_engine_rounds_total`),
     /// measured by one extra obs-enabled run after the timed reps. Context
     /// only — never gated. `None` for entries where it does not apply.
@@ -362,10 +360,12 @@ pub fn run_suite(n: usize, reps: usize) -> Vec<PerfEntry> {
         measure("decay_seq_n20", n, reps, || {
             Runner::new(&PureDecay, &g, &ids).run().unwrap().stats
         }),
-        measure("decay_classic_seq_n20", n, reps, || {
+        // The same protocol with `Telemetry` attached: the observed
+        // path Standard-mode harness trials take (hooks replayed from
+        // the kernel's event buffer every round).
+        measure("decay_observed_seq_n20", n, reps, || {
             Runner::new(&PureDecay, &g, &ids)
-                .tuning(EngineTuning::default().fast_path(Toggle::Off))
-                .run()
+                .run_with(&mut Telemetry::new())
                 .unwrap()
                 .stats
         }),
@@ -528,7 +528,7 @@ fn harness_table2_quick(reps: usize) -> PerfEntry {
 pub fn suite_ids() -> Vec<&'static str> {
     vec![
         "decay_seq_n20",
-        "decay_classic_seq_n20",
+        "decay_observed_seq_n20",
         "flood_seq_n20",
         "decay_actor_n20",
         "harness_table2_quick",

@@ -16,13 +16,11 @@
 //! [`AlgoSpec::exec`], driven by an [`ExecOptions`] value. The options
 //! select the observation level ([`ObserveMode`]: `Bare` for benches,
 //! `Standard` for measurement rows, `Traced` for the full event-log
-//! stack), the execution mode (sequential / parallel), and the engine
-//! tuning ([`EngineTuning`]) — so the spec-driven binaries (via
-//! [`crate::spec::execute`]), the `trace` binary, and the Criterion
-//! benches all go through the same construct → run → verify path.
-//! Registering a new algorithm here makes it immediately runnable,
-//! traceable, and benchable. The pre-redesign trio (`run`, `run_traced`,
-//! `run_bare`) survives as deprecated shims over `exec`.
+//! stack), the execution mode (sequential / parallel), and the backend
+//! — so the spec-driven binaries (via [`crate::spec::execute`]), the
+//! `trace` binary, and the Criterion benches all go through the same
+//! construct → run → verify path. Registering a new algorithm here
+//! makes it immediately runnable, traceable, and benchable.
 
 use crate::{cfg, harness_observer, Row, Trial};
 use algos::{baselines, coloring, edge_coloring, forests, matching, mis, pipeline, rand_coloring};
@@ -30,8 +28,8 @@ use graphcore::churn::{self, ChurnPlan};
 use graphcore::{gen::GenGraph, verify, Graph, IdAssignment, VertexId};
 use simlocal::obs::Metric as ObsMetric;
 use simlocal::{
-    ActorRunner, EngineStats, EngineTuning, NoObserver, Observer, PhaseBreakdown, Profile,
-    Protocol, Runner, SimOutcome, TraceLog, WarmOutcome, WarmStart,
+    ActorRunner, EngineStats, NoObserver, Observer, PhaseBreakdown, Profile, Protocol, Runner,
+    SimOutcome, TraceLog, WarmOutcome, WarmStart,
 };
 use std::sync::OnceLock;
 
@@ -287,7 +285,7 @@ pub enum ObserveMode {
 /// Options for one erased execution: what to run it on, and how.
 ///
 /// Construct with [`ExecOptions::new`] (sequential, [`ObserveMode::
-/// Standard`], default [`EngineTuning`]) and override per call site.
+/// Standard`], sync backend) and override per call site.
 #[derive(Clone, Copy, Debug)]
 pub struct ExecOptions<'a> {
     /// Experiment tag recorded in [`Row::exp`].
@@ -302,8 +300,6 @@ pub struct ExecOptions<'a> {
     pub parallel: bool,
     /// Observation level.
     pub observe: ObserveMode,
-    /// Engine tuning forwarded to the runner.
-    pub tuning: EngineTuning,
     /// Execution backend (sync engine or actor shards).
     pub backend: Backend,
     /// Metrics registry handed to the runner (engine/actor/transport
@@ -314,7 +310,7 @@ pub struct ExecOptions<'a> {
 }
 
 impl<'a> ExecOptions<'a> {
-    /// Sequential, standard-observed execution with default tuning.
+    /// Sequential, standard-observed execution on the sync backend.
     pub fn new(exp: &'a str, gg: &'a GenGraph, trial: &'a Trial) -> ExecOptions<'a> {
         ExecOptions {
             exp,
@@ -323,7 +319,6 @@ impl<'a> ExecOptions<'a> {
             trial,
             parallel: false,
             observe: ObserveMode::default(),
-            tuning: EngineTuning::default(),
             backend: Backend::default(),
             metrics: None,
         }
@@ -344,12 +339,6 @@ impl<'a> ExecOptions<'a> {
     /// Sets the observation level.
     pub fn observe(mut self, observe: ObserveMode) -> Self {
         self.observe = observe;
-        self
-    }
-
-    /// Sets the engine tuning.
-    pub fn tuning(mut self, tuning: EngineTuning) -> Self {
-        self.tuning = tuning;
         self
     }
 
@@ -387,21 +376,6 @@ impl ExecOutcome {
     pub fn into_row(self) -> Row {
         self.row.expect("bare executions produce no row")
     }
-}
-
-/// Everything a traced run produces, for the `trace` binary: the standard
-/// [`Row`] plus the engine stats and the full observer stack.
-pub struct TracedRun {
-    /// The verified measurement row (active series + phases included).
-    pub row: Row,
-    /// Engine work/wall accounting.
-    pub stats: EngineStats,
-    /// Per-phase RoundSum / termination accounting.
-    pub breakdown: PhaseBreakdown,
-    /// The exportable event log (JSONL / Chrome trace).
-    pub log: TraceLog,
-    /// Termination-round and round-wall histograms.
-    pub profile: Profile,
 }
 
 /// A dyn-erased algorithm: the one run path behind every table row,
@@ -485,48 +459,6 @@ impl AlgoSpec {
         self.algo.exec_dynamic(opts, plan, check_cold)
     }
 
-    /// Pre-redesign entry: standard-observed sequential run.
-    #[deprecated(note = "use `exec(&ExecOptions::new(exp, gg, trial).params(params))`")]
-    pub fn run(&self, exp: &str, gg: &GenGraph, params: Params, trial: &Trial) -> Row {
-        self.exec(&ExecOptions::new(exp, gg, trial).params(params))
-            .into_row()
-    }
-
-    /// Pre-redesign entry: run with the full tracing stack attached.
-    #[deprecated(note = "use `exec` with `ObserveMode::Traced`")]
-    pub fn run_traced(
-        &self,
-        gg: &GenGraph,
-        params: Params,
-        trial: &Trial,
-        parallel: bool,
-    ) -> TracedRun {
-        let out = self.exec(
-            &ExecOptions::new("trace", gg, trial)
-                .params(params)
-                .parallel(parallel)
-                .observe(ObserveMode::Traced),
-        );
-        let (log, profile) = out.trace.expect("traced execution carries a trace");
-        TracedRun {
-            row: out.row.expect("traced execution carries a row"),
-            stats: out.stats,
-            breakdown: out.breakdown.expect("traced execution carries a breakdown"),
-            log,
-            profile,
-        }
-    }
-
-    /// Pre-redesign entry: unobserved, unverified benching run.
-    #[deprecated(note = "use `exec` with `ObserveMode::Bare`")]
-    pub fn run_bare(&self, gg: &GenGraph, params: Params, trial: &Trial) {
-        self.exec(
-            &ExecOptions::new("bench", gg, trial)
-                .params(params)
-                .observe(ObserveMode::Bare),
-        );
-    }
-
     fn decay(mut self, ratio: f64, stride: usize, floor: f64, grace: usize) -> AlgoSpec {
         self.decay = Some(DecayClaim {
             ratio,
@@ -583,7 +515,7 @@ where
 {
     /// The engine configuration an [`ExecOptions`] value asks for.
     fn run_cfg(o: &ExecOptions<'_>) -> simlocal::RunConfig {
-        let run_cfg = cfg(o.trial.seed).with_tuning(o.tuning);
+        let run_cfg = cfg(o.trial.seed);
         if o.parallel {
             run_cfg.parallel()
         } else {

@@ -15,7 +15,6 @@ use crate::{
     bounds, n_sweep, print_rows, print_summaries, summarize, Bound, Cli, Row, SuiteResult,
     TrialSummary,
 };
-use graphcore::gen::GenGraph;
 use std::fmt;
 
 /// Hub degree for the `a ≪ Δ` hub workloads, as a function of `n` and the
@@ -38,7 +37,7 @@ pub fn hub_degree_for(n: usize, problem: Problem) -> usize {
     }
 }
 
-/// A declarative workload: expanded into concrete [`GenGraph`]s by
+/// A declarative workload: expanded into concrete [`GenGraph`](graphcore::gen::GenGraph)s by
 /// [`execute`] (over the standard `n` sweep unless pinned).
 #[derive(Clone, Debug)]
 pub enum WorkloadSpec {
@@ -134,16 +133,6 @@ impl WorkloadSpec {
                 }]
             }
         }
-    }
-
-    /// Expands into concrete graphs, in deterministic order (generating
-    /// each [`WorkloadKey`] eagerly; the pipeline path goes through the
-    /// [`WorkloadCache`] instead).
-    pub fn expand(&self, quick: bool, problem: Problem) -> Vec<GenGraph> {
-        self.keys(quick, problem)
-            .iter()
-            .map(WorkloadKey::generate)
-            .collect()
     }
 }
 

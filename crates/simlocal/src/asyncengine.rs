@@ -23,8 +23,8 @@
 //! published at the end of round `r - 1`, activity as it stood when round
 //! `r` began. Outputs, termination rounds, and wire accounting therefore
 //! merge into a [`SimOutcome`] equal field-for-field to the sync engine's
-//! (`parallel_rounds`/`fast_rounds` excepted — those describe sync-engine
-//! execution paths and read 0 here), which the property tests in
+//! (`parallel_rounds` excepted — it describes sync-engine fan-out and
+//! reads 0 here), which the property tests in
 //! `tests/actor_backend.rs` pin across transports and shard counts.
 //!
 //! ## Initial messages
@@ -66,15 +66,15 @@
 //! sync engine's as-you-go hooks. The replay buffer costs `O(RoundSum)`
 //! memory on observed runs; unobserved runs record nothing.
 
-use crate::engine::{EngineError, EngineStats, RunConfig, SimOutcome};
+use crate::engine::{EngineError, EngineStats, RoundView, RunConfig, SimOutcome};
 use crate::metrics::RoundMetrics;
 use crate::obs::{Metric, Registry, ShardObs};
 use crate::observer::{NoObserver, Observer, RoundRecord};
-use crate::protocol::{NeighborView, PhaseId, Protocol, StepCtx, Transition};
+use crate::protocol::{PhaseId, Protocol};
 use crate::transport::{
     channel_mesh, tcp_loopback_mesh, Batch, Recv, Transport, TransportStats, Update,
 };
-use crate::wire::{WireCodec, WireSize};
+use crate::wire::WireCodec;
 use graphcore::{Graph, IdAssignment, VertexId};
 use std::time::{Duration, Instant};
 
@@ -297,17 +297,32 @@ struct ShardResult<P: Protocol> {
     round_stats: Vec<(u64, u64, Duration)>,
 }
 
-/// Mirrors a transport's cumulative I/O tallies into the registry's
-/// per-shard slots (absolute stores: the tallies are already sums).
-fn publish_transport(o: &ShardObs<'_>, s: TransportStats) {
-    o.set(Metric::TransportBatchesOut, s.batches_out);
-    o.set(Metric::TransportBatchesIn, s.batches_in);
-    o.set(Metric::TransportEntriesOut, s.entries_out);
-    o.set(Metric::TransportEntriesIn, s.entries_in);
-    o.set(Metric::TransportBytesOut, s.bytes_out);
-    o.set(Metric::TransportBytesIn, s.bytes_in);
-    o.set(Metric::TransportFramesIn, s.frames_in);
+/// Adds the part of a transport's cumulative I/O tallies not yet in
+/// `published` to the registry's per-shard counters, so the counters
+/// keep growing across the runs that share a registry, and stores the
+/// inbox-depth gauge.
+fn publish_transport(o: &ShardObs<'_>, s: TransportStats, published: &mut TransportStats) {
+    o.add(
+        Metric::TransportBatchesOut,
+        s.batches_out - published.batches_out,
+    );
+    o.add(
+        Metric::TransportBatchesIn,
+        s.batches_in - published.batches_in,
+    );
+    o.add(
+        Metric::TransportEntriesOut,
+        s.entries_out - published.entries_out,
+    );
+    o.add(
+        Metric::TransportEntriesIn,
+        s.entries_in - published.entries_in,
+    );
+    o.add(Metric::TransportBytesOut, s.bytes_out - published.bytes_out);
+    o.add(Metric::TransportBytesIn, s.bytes_in - published.bytes_in);
+    o.add(Metric::TransportFramesIn, s.frames_in - published.frames_in);
     o.set(Metric::TransportInboxDepth, s.inbox_depth);
+    *published = s;
 }
 
 /// The per-shard worker: owns `lo..hi`, mirrors the rest.
@@ -346,6 +361,8 @@ fn shard_main<P: Protocol, Ob: Observer, T: Transport<P::Msg>>(
         round_stats: Vec::new(),
     };
     let mut barrier = RoundBarrier::new(shards, sid);
+    // Transport tallies already added to the registry.
+    let mut published = TransportStats::default();
 
     if active.is_empty() {
         // Nothing to own (more shards than vertices): deregister from the
@@ -358,7 +375,7 @@ fn shard_main<P: Protocol, Ob: Observer, T: Transport<P::Msg>>(
         });
         if let Some(o) = &ob {
             o.add(Metric::ActorRetire, 1);
-            publish_transport(o, transport.stats());
+            publish_transport(o, transport.stats(), &mut published);
         }
         transport.linger();
         return result;
@@ -380,6 +397,15 @@ fn shard_main<P: Protocol, Ob: Observer, T: Transport<P::Msg>>(
         let mut round_bits = 0u64;
         let mut round_max = 0u64;
         let mut entries: Vec<Update<P::Msg>> = Vec::with_capacity(active.len());
+        let view = RoundView {
+            protocol,
+            graph: g,
+            ids,
+            seed: cfg.seed,
+            round,
+            msgs: &msgs,
+            active_words: &active_words,
+        };
         // Read phase: step owned active vertices against the mirror
         // snapshot — nothing a step can observe is mutated until every
         // owned vertex has stepped.
@@ -393,35 +419,16 @@ fn shard_main<P: Protocol, Ob: Observer, T: Transport<P::Msg>>(
                     terminated: false,
                 });
             }
-            let ctx = StepCtx {
-                graph: g,
-                ids,
-                v,
-                round,
-                state: &states[vi],
-                view: NeighborView {
-                    graph: g,
-                    v,
-                    msgs: &msgs,
-                    active_words: &active_words,
-                },
-                run_seed: cfg.seed,
-            };
-            let (s, out) = match protocol.step(ctx) {
-                Transition::Continue(s) => (s, None),
-                Transition::Terminate(s, o) => (s, Some(o)),
-            };
-            let m = protocol.publish(&s);
-            let mb = m.wire_bits();
-            round_bits += mb;
-            round_max = round_max.max(mb);
+            let step = view.step(v, &states[vi]);
+            round_bits += step.bits;
+            round_max = round_max.max(step.bits);
             entries.push(Update {
                 v,
-                msg: m,
-                terminated: out.is_some(),
+                msg: step.msg,
+                terminated: step.output.is_some(),
             });
-            states[vi] = s;
-            if let Some(o) = out {
+            states[vi] = step.state;
+            if let Some(o) = step.output {
                 result.outputs[vi] = Some(o);
                 result.term[vi] = round;
                 if Ob::ENABLED {
@@ -468,7 +475,7 @@ fn shard_main<P: Protocol, Ob: Observer, T: Transport<P::Msg>>(
             if let Some(o) = &ob {
                 o.add(Metric::ActorRounds, 1);
                 o.add(Metric::ActorRetire, 1);
-                publish_transport(o, transport.stats());
+                publish_transport(o, transport.stats(), &mut published);
             }
             transport.linger();
             return result;
@@ -493,7 +500,7 @@ fn shard_main<P: Protocol, Ob: Observer, T: Transport<P::Msg>>(
                 Metric::ActorDeregister,
                 (live_before - barrier.live_peers()) as u64,
             );
-            publish_transport(o, transport.stats());
+            publish_transport(o, transport.stats(), &mut published);
         }
         if let Err(stall) = drained {
             // Watchdog: hand the partial state back instead of hanging —
@@ -923,6 +930,7 @@ mod tests {
     use super::*;
     use crate::engine::Runner;
     use crate::observer::Telemetry;
+    use crate::protocol::{StepCtx, Transition};
     use graphcore::gen;
 
     /// Vertex v waits v rounds then outputs the round it terminated in.

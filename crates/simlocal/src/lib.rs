@@ -81,8 +81,7 @@ pub mod wire;
 pub use active::ActiveSet;
 pub use asyncengine::{ActorRunner, BarrierStall, RoundBarrier, StallKind};
 pub use engine::{
-    EngineError, EngineStats, EngineTuning, RunConfig, Runner, ScratchPolicy, SimOutcome, Toggle,
-    DEFAULT_PAR_THRESHOLD, FAST_PATH_MAX_MSG_BYTES,
+    EngineError, EngineStats, EngineTuning, RunConfig, Runner, SimOutcome, DEFAULT_PAR_THRESHOLD,
 };
 pub use metrics::{Percentiles, RoundMetrics};
 pub use observer::{NoObserver, Observer, RoundRecord, Tee, Telemetry};

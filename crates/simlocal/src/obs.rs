@@ -104,9 +104,9 @@ metric_table! {
     (EngineRounds, "simlocal_engine_rounds_total", Counter, false,
      "Rounds completed by the sync engine."),
     (EngineFastRounds, "simlocal_engine_fast_rounds_total", Counter, false,
-     "Rounds that took the in-place fast path."),
+     "Rounds that fired no per-vertex observer hooks (every round runs the one in-place kernel)."),
     (EngineClassicRounds, "simlocal_engine_classic_rounds_total", Counter, false,
-     "Rounds that took the transition-buffering classic path."),
+     "Rounds whose per-vertex observer hooks were replayed after the read phase."),
     (EngineParallelRounds, "simlocal_engine_parallel_rounds_total", Counter, false,
      "Rounds that fanned out to worker threads."),
     (EngineSteps, "simlocal_engine_steps_total", Counter, false,
@@ -118,13 +118,13 @@ metric_table! {
     (EngineScanNs, "simlocal_engine_scan_ns_total", Counter, false,
      "Nanoseconds balancing live-word cuts before parallel fan-out."),
     (EngineStepNs, "simlocal_engine_step_ns_total", Counter, false,
-     "Nanoseconds in the read phase (stepping active vertices)."),
+     "Nanoseconds in the read phase (stepping and publishing active vertices in place)."),
     (EnginePublishNs, "simlocal_engine_publish_ns_total", Counter, false,
-     "Nanoseconds draining transitions and publishing messages (classic path; fused into the step phase on the fast path)."),
+     "Nanoseconds replaying per-vertex observer hooks in vertex order (observed rounds only)."),
     (EngineRetireNs, "simlocal_engine_retire_ns_total", Counter, false,
-     "Nanoseconds in the retire sweep (clearing bits, compacting live words)."),
+     "Nanoseconds in the retire sweep (swapping in new messages, clearing bits, compacting live words)."),
     (EngineScratchReallocs, "simlocal_engine_scratch_reallocs_total", Counter, false,
-     "Rounds whose transition scratch buffer grew (should stay 0 under ScratchPolicy::Eager)."),
+     "Rounds whose hook event buffers grew (stays 0 on sequential runs: the buffer is sized up front)."),
     (EngineWarmRuns, "simlocal_engine_warm_runs_total", Counter, false,
      "Warm-start (incremental re-solve) runs executed."),
     (EngineWarmFullResolves, "simlocal_engine_warm_full_resolves_total", Counter, false,

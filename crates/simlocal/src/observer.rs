@@ -13,8 +13,8 @@
 //!    via [`Protocol::phase_of`](crate::Protocol::phase_of) from the state
 //!    the vertex entered the round with);
 //! 3. [`Observer::on_step`] — once per `(active vertex, round)`, in
-//!    deterministic vertex order, after the round's transitions are
-//!    computed (identical in sequential and parallel modes); `on_phase`
+//!    deterministic vertex order, replayed after every active vertex has
+//!    stepped (identical in sequential and parallel modes); `on_phase`
 //!    for the same vertex fires immediately before it;
 //! 4. [`Observer::on_terminate`] — once per vertex, in its final round;
 //! 5. [`Observer::on_round_end`] — with the round's [`RoundRecord`].
@@ -48,8 +48,9 @@ pub struct RoundRecord {
 /// Per-round instrumentation hooks. All hooks default to no-ops; see the
 /// module docs for the exact firing sequence.
 pub trait Observer {
-    /// When `false`, the engine skips per-round clock reads entirely.
-    /// [`NoObserver`] is the only implementation that should disable this.
+    /// When `false`, the engine skips per-round clock reads and records
+    /// no per-vertex hook events. [`NoObserver`] is the only
+    /// implementation that should disable this.
     const ENABLED: bool = true;
 
     /// A round is about to execute with `active` live vertices.

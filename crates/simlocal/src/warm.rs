@@ -51,12 +51,11 @@
 //! vertices only, so `RoundMetrics::vertex_averaged` is the
 //! vertex-averaged update cost of the batch.
 
-use crate::active::ActiveSet;
-use crate::engine::{EngineError, EngineStats, RunConfig, SimOutcome};
+use crate::engine::{execute, EngineError, EngineStats, RoundView, RunConfig, SimOutcome};
 use crate::metrics::RoundMetrics;
 use crate::obs::{Metric, Registry};
-use crate::protocol::{NeighborView, Protocol, StepCtx, Transition};
-use crate::wire::WireSize;
+use crate::observer::NoObserver;
+use crate::protocol::Protocol;
 use graphcore::{Graph, IdAssignment, VertexId};
 use std::ops::Range;
 use std::time::Instant;
@@ -159,7 +158,7 @@ impl<M: Clone> Replay<M> {
 /// In round `t ≥ 1` those are exactly the logged vertices with
 /// termination round `≥ t`, which is what lets [`Rows`] read the log
 /// back one vertex at a time.
-struct RoundLog<M> {
+pub(crate) struct RoundLog<M> {
     msgs: Vec<M>,
     starts: Vec<usize>,
 }
@@ -173,8 +172,13 @@ impl<M: Clone> RoundLog<M> {
     }
 
     /// Opens the segment of the next round.
-    fn open_round(&mut self) {
+    pub(crate) fn open_round(&mut self) {
         self.starts.push(self.msgs.len());
+    }
+
+    /// Appends the next message of the open round's segment.
+    pub(crate) fn push(&mut self, m: M) {
+        self.msgs.push(m);
     }
 
     /// A reader positioned at the first logged vertex.
@@ -280,104 +284,21 @@ fn bounded_bfs(g: &Graph, sources: &[VertexId], depth: u32) -> Vec<u32> {
     dist
 }
 
-/// Cold run that also records the [`Replay`] log. Sequential classic
-/// path only (the recorded log is what warm equivalence is pinned
-/// against, so this path never forks); byte-identical outputs to
-/// [`Runner::run`](crate::Runner::run).
+/// Cold run that also records the [`Replay`] log: the sync kernel with
+/// a log sink attached, so it runs exactly like
+/// [`Runner::run`](crate::Runner::run) — sequential or parallel, with or
+/// without `obs` — and its outcome is byte-identical to a plain run.
 pub(crate) fn run_recorded<P: Protocol>(
     protocol: &P,
     g: &Graph,
     ids: &IdAssignment,
     cfg: RunConfig,
+    obs: Option<&Registry>,
 ) -> Result<Recorded<P>, EngineError> {
-    assert_eq!(ids.len(), g.n(), "ID assignment must cover all vertices");
-    let n = g.n();
-    let max_rounds = cfg.max_rounds.unwrap_or_else(|| protocol.max_rounds(g));
-    let run_t0 = Instant::now();
-
-    let mut states: Vec<P::State> = g.vertices().map(|v| protocol.init(g, ids, v)).collect();
-    let mut msgs: Vec<P::Msg> = states.iter().map(|s| protocol.publish(s)).collect();
     let mut log = RoundLog::new();
-    log.open_round();
-    log.msgs.extend_from_slice(&msgs);
-    let mut outputs: Vec<Option<P::Output>> = vec![None; n];
-    let mut termination_round = vec![0u32; n];
-    let mut active = ActiveSet::full(n);
-    let mut transitions = Vec::with_capacity(n);
-    let mut active_per_round: Vec<usize> = Vec::new();
-    let mut stats = EngineStats::default();
-
-    let mut round: u32 = 0;
-    while !active.is_empty() {
-        round += 1;
-        if round > max_rounds {
-            return Err(EngineError::RoundLimitExceeded {
-                max_rounds,
-                still_active: active.count(),
-            });
-        }
-        let stepped = active.count();
-        active_per_round.push(stepped);
-        let words = active.words();
-        active.for_each(|v| {
-            let ctx = StepCtx {
-                graph: g,
-                ids,
-                v,
-                round,
-                state: &states[v as usize],
-                view: NeighborView {
-                    graph: g,
-                    v,
-                    msgs: &msgs,
-                    active_words: words,
-                },
-                run_seed: cfg.seed,
-            };
-            transitions.push((v, protocol.step(ctx)));
-        });
-        log.open_round();
-        for (v, t) in transitions.drain(..) {
-            let vu = v as usize;
-            let (s, out) = match t {
-                Transition::Continue(s) => (s, None),
-                Transition::Terminate(s, o) => (s, Some(o)),
-            };
-            let m = protocol.publish(&s);
-            let mb = m.wire_bits();
-            stats.msg_bits += mb;
-            stats.max_msg_bits = stats.max_msg_bits.max(mb);
-            log.msgs.push(m.clone());
-            msgs[vu] = m;
-            states[vu] = s;
-            if let Some(o) = out {
-                outputs[vu] = Some(o);
-                termination_round[vu] = round;
-            }
-        }
-        active.retire(|v| termination_round[v as usize] == round);
-        stats.steps += stepped as u64;
-        stats.publications += stepped as u64;
-    }
-
-    stats.rounds = round;
-    stats.wall = run_t0.elapsed();
-    let outputs = outputs
-        .into_iter()
-        .map(|o| o.expect("terminated vertex must have an output"))
-        .collect();
-    let replay = Replay::from_round_log(&log, termination_round.clone());
-    Ok((
-        SimOutcome {
-            outputs,
-            metrics: RoundMetrics {
-                termination_round,
-                active_per_round,
-            },
-            stats,
-        },
-        replay,
-    ))
+    let outcome = execute(protocol, g, ids, cfg, &mut NoObserver, obs, Some(&mut log))?;
+    let replay = Replay::from_round_log(&log, outcome.metrics.termination_round.clone());
+    Ok((outcome, replay))
 }
 
 /// Incremental re-solve of `g` (the post-edit graph) warm-started from
@@ -412,7 +333,7 @@ pub(crate) fn run_warm<P: Protocol>(
     let Some(radius) = protocol.dependence_radius(g) else {
         // No locality declaration: the only sound move is a full cold
         // re-solve (which also refreshes the replay log).
-        let (outcome, replay) = run_recorded(protocol, g, ids, cfg)?;
+        let (outcome, replay) = run_recorded(protocol, g, ids, cfg, obs)?;
         if let Some(o) = ob {
             o.add(Metric::EngineWarmRuns, 1);
             o.add(Metric::EngineWarmFullResolves, 1);
@@ -471,7 +392,7 @@ pub(crate) fn run_warm<P: Protocol>(
         .map(|&v| {
             let s = protocol.init(g, ids, v);
             let m = protocol.publish(&s);
-            log.msgs.push(m.clone());
+            log.push(m.clone());
             msgs[v as usize] = m;
             (v, s)
         })
@@ -493,7 +414,7 @@ pub(crate) fn run_warm<P: Protocol>(
         visible[0] = 0;
     }
 
-    let mut transitions = Vec::with_capacity(reactivated);
+    let mut steps_buf = Vec::with_capacity(reactivated);
     let mut active_per_round: Vec<usize> = Vec::new();
     let mut stats = EngineStats::default();
 
@@ -508,39 +429,26 @@ pub(crate) fn run_warm<P: Protocol>(
         }
         let stepped = live.len();
         active_per_round.push(stepped);
-        for &(v, ref state) in &live {
-            let ctx = StepCtx {
-                graph: g,
-                ids,
-                v,
-                round,
-                state,
-                view: NeighborView {
-                    graph: g,
-                    v,
-                    msgs: &msgs,
-                    active_words: &visible,
-                },
-                run_seed: cfg.seed,
-            };
-            transitions.push(protocol.step(ctx));
-        }
+        let view = RoundView {
+            protocol,
+            graph: g,
+            ids,
+            seed: cfg.seed,
+            round,
+            msgs: &msgs,
+            active_words: &visible,
+        };
+        steps_buf.extend(live.iter().map(|(v, state)| view.step(*v, state)));
         log.open_round();
         let mut kept = 0;
-        for (i, t) in transitions.drain(..).enumerate() {
+        for (i, step) in steps_buf.drain(..).enumerate() {
             let v = live[i].0;
             let vu = v as usize;
-            let (s, out) = match t {
-                Transition::Continue(s) => (s, None),
-                Transition::Terminate(s, o) => (s, Some(o)),
-            };
-            let m = protocol.publish(&s);
-            let mb = m.wire_bits();
-            stats.msg_bits += mb;
-            stats.max_msg_bits = stats.max_msg_bits.max(mb);
-            log.msgs.push(m.clone());
-            msgs[vu] = m;
-            match out {
+            stats.msg_bits += step.bits;
+            stats.max_msg_bits = stats.max_msg_bits.max(step.bits);
+            log.push(step.msg.clone());
+            msgs[vu] = step.msg;
+            match step.output {
                 Some(o) => {
                     outputs[vu] = o;
                     termination_round[vu] = round;
@@ -548,7 +456,7 @@ pub(crate) fn run_warm<P: Protocol>(
                     visible[vu >> 6] &= !(1u64 << (vu & 63));
                 }
                 None => {
-                    live[kept] = (v, s);
+                    live[kept] = (v, step.state);
                     kept += 1;
                 }
             }
@@ -598,6 +506,7 @@ pub(crate) fn run_warm<P: Protocol>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{StepCtx, Transition};
     use crate::Runner;
     use graphcore::churn::{apply, churn_sequence, ChurnPlan};
     use graphcore::gen;
@@ -735,7 +644,7 @@ mod tests {
     {
         let idv = ids(base.n());
         let cfg = RunConfig::seeded(seed);
-        let (cold0, mut replay) = run_recorded(protocol, base, &idv, cfg).unwrap();
+        let (cold0, mut replay) = run_recorded(protocol, base, &idv, cfg, None).unwrap();
         let mut outputs = cold0.outputs;
         let mut g = base.clone();
         for (bi, batch) in churn_sequence(base, plan).iter().enumerate() {
@@ -765,7 +674,7 @@ mod tests {
             assert!(warm.stats.reactivated <= base.n());
             // The replay must chain: every vertex's history is what a
             // recorded cold run on the edited graph would have logged.
-            let (_, cold_replay) = run_recorded(protocol, &g, &idv, cfg).unwrap();
+            let (_, cold_replay) = run_recorded(protocol, &g, &idv, cfg, None).unwrap();
             assert_eq!(
                 warm.replay.term, cold_replay.term,
                 "batch {bi}: replay term"
@@ -789,7 +698,7 @@ mod tests {
         let g = rg(120, 0.05, 9);
         let idv = ids(g.n());
         let cfg = RunConfig::seeded(3);
-        let (rec, replay) = run_recorded(&CoinDecay, &g, &idv, cfg).unwrap();
+        let (rec, replay) = run_recorded(&CoinDecay, &g, &idv, cfg, None).unwrap();
         let plain = Runner::new(&CoinDecay, &g, &idv).config(cfg).run().unwrap();
         assert_eq!(rec.outputs, plain.outputs);
         assert_eq!(
@@ -800,6 +709,31 @@ mod tests {
         assert_eq!(replay.term(), plain.metrics.termination_round.as_slice());
         for v in 0..g.n() {
             assert_eq!(replay.history(v).len() as u32, replay.term[v] + 1);
+        }
+    }
+
+    #[test]
+    fn parallel_recorded_run_matches_sequential() {
+        // Forced fan-out on every round: the retire sweep still logs in
+        // ascending vertex order, so every history is unchanged.
+        let g = rg(300, 0.02, 4);
+        let idv = ids(g.n());
+        let cfg = RunConfig::seeded(5);
+        let par_cfg = cfg
+            .parallel()
+            .with_tuning(crate::EngineTuning::default().par_threshold(1).workers(4));
+        let (seq, seq_replay) = run_recorded(&CoinDecay, &g, &idv, cfg, None).unwrap();
+        let (par, par_replay) = run_recorded(&CoinDecay, &g, &idv, par_cfg, None).unwrap();
+        assert!(par.stats.parallel_rounds > 0, "threshold 1 must fan out");
+        assert_eq!(seq.outputs, par.outputs);
+        assert_eq!(seq.metrics, par.metrics);
+        assert_eq!(seq_replay.term, par_replay.term);
+        for v in 0..g.n() {
+            assert_eq!(
+                seq_replay.history(v),
+                par_replay.history(v),
+                "history of vertex {v}"
+            );
         }
     }
 
@@ -833,7 +767,7 @@ mod tests {
         let idv = ids(400);
         let cfg = RunConfig::seeded(1);
         let p = MaxIdFlood { horizon: 3 };
-        let (cold, replay) = run_recorded(&p, &g, &idv, cfg).unwrap();
+        let (cold, replay) = run_recorded(&p, &g, &idv, cfg, None).unwrap();
         let batch = graphcore::churn::EditBatch {
             inserts: vec![(0, 2)],
             deletes: vec![],
@@ -879,7 +813,7 @@ mod tests {
         let g = rg(60, 0.06, 7);
         let idv = ids(60);
         let cfg = RunConfig::seeded(2);
-        let (cold, replay) = run_recorded(&OpaqueDecay, &g, &idv, cfg).unwrap();
+        let (cold, replay) = run_recorded(&OpaqueDecay, &g, &idv, cfg, None).unwrap();
         let batch = graphcore::churn::EditBatch {
             inserts: vec![],
             deletes: vec![g.edges().next().unwrap().1],
@@ -914,7 +848,7 @@ mod tests {
         let idv = ids(50);
         let cfg = RunConfig::seeded(6);
         let p = MaxIdFlood { horizon: 2 };
-        let (cold, replay) = run_recorded(&p, &g, &idv, cfg).unwrap();
+        let (cold, replay) = run_recorded(&p, &g, &idv, cfg, None).unwrap();
         let warm = run_warm(
             &p,
             &g,

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use simlocal::{
-    run_reference, EngineTuning, Observer, Protocol, RoundRecord, Runner, StepCtx, Toggle,
+    run_reference, EngineTuning, Observer, Protocol, RoundRecord, Runner, StepCtx, Telemetry,
     Transition,
 };
 
@@ -174,6 +174,30 @@ impl Protocol for SplitWire {
     }
 }
 
+/// Every message is a heap `Vec`: the retire sweep moves it into the
+/// visible slab by swap, never by clone, and the wire accounting must
+/// still match the reference.
+struct HeapMsg;
+impl Protocol for HeapMsg {
+    type State = u64;
+    type Msg = Vec<u64>;
+    type Output = u64;
+    fn init(&self, _: &Graph, ids: &IdAssignment, v: VertexId) -> u64 {
+        ids.id(v)
+    }
+    fn publish(&self, s: &u64) -> Vec<u64> {
+        vec![*s; 2]
+    }
+    fn step(&self, ctx: StepCtx<'_, u64, Vec<u64>>) -> Transition<u64, u64> {
+        let sum: u64 = ctx.view.neighbors().map(|(_, m)| m[0]).sum();
+        if ctx.round > ctx.v % 4 {
+            Transition::Terminate(sum, sum)
+        } else {
+            Transition::Continue(sum + 1)
+        }
+    }
+}
+
 /// A graph from one of four families, chosen by `pick`.
 fn family_graph(pick: u8, n: usize, a: usize, seed: u64) -> Graph {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -185,84 +209,47 @@ fn family_graph(pick: u8, n: usize, a: usize, seed: u64) -> Graph {
     }
 }
 
+/// Every way of running the one kernel — plain or observed, sequential
+/// or under forced fan-out — must match the dense reference engine:
+/// outputs, metrics, work and wire accounting.
 fn assert_outcomes_identical<P>(p: &P, g: &Graph, seed: u64)
 where
     P: Protocol,
     P::Output: PartialEq + std::fmt::Debug,
 {
     let ids = IdAssignment::identity(g.n());
-    let sparse = Runner::new(p, g, &ids).seed(seed).run().unwrap();
-    let par = Runner::new(p, g, &ids)
-        .seed(seed)
-        .parallel()
-        .tuning(fan_out())
-        .run()
-        .unwrap();
     let dense = run_reference(p, g, &ids, seed).unwrap();
-    // Both step paths, forced explicitly (Auto picks by message type):
-    // the in-place fast path and the transition-buffering classic path
-    // must be byte-identical to each other and to the oracle — wire
-    // stats included — sequentially and under real fan-out.
-    let fast = Runner::new(p, g, &ids)
-        .seed(seed)
-        .tuning(EngineTuning::default().fast_path(Toggle::On))
-        .run()
-        .unwrap();
-    let classic = Runner::new(p, g, &ids)
-        .seed(seed)
-        .tuning(EngineTuning::default().fast_path(Toggle::Off))
-        .run()
-        .unwrap();
-    let fast_par = Runner::new(p, g, &ids)
-        .seed(seed)
-        .parallel()
-        .tuning(fan_out().fast_path(Toggle::On))
-        .run()
-        .unwrap();
-    assert_eq!(fast.stats.fast_rounds, fast.stats.rounds, "fast path taken");
-    assert_eq!(classic.stats.fast_rounds, 0, "classic path taken");
-    for (label, other) in [
-        ("fast", &fast),
-        ("classic", &classic),
-        ("fast-par", &fast_par),
+    let seq = || Runner::new(p, g, &ids).seed(seed);
+    let par = || seq().parallel().tuning(fan_out());
+    let plain = seq().run().unwrap();
+    let fanned = par().run().unwrap();
+    let observed = seq().run_with(&mut Telemetry::new()).unwrap();
+    let observed_fanned = par().run_with(&mut Telemetry::new()).unwrap();
+    if g.n() > 0 {
+        assert!(fanned.stats.parallel_rounds > 0, "threshold 1 must fan out");
+        assert!(observed_fanned.stats.parallel_rounds > 0);
+    }
+    for (label, run) in [
+        ("plain", &plain),
+        ("fan-out", &fanned),
+        ("observed", &observed),
+        ("observed fan-out", &observed_fanned),
     ] {
-        assert_eq!(sparse.outputs, other.outputs, "{label} outputs");
-        assert_eq!(sparse.metrics, other.metrics, "{label} metrics");
-        assert_eq!(sparse.stats.steps, other.stats.steps, "{label} steps");
-        assert_eq!(sparse.stats.msg_bits, other.stats.msg_bits, "{label} bits");
+        assert_eq!(run.outputs, dense.outputs, "{label} outputs");
+        assert_eq!(run.metrics, dense.metrics, "{label} metrics");
+        assert_eq!(run.stats.rounds, dense.stats.rounds, "{label} rounds");
+        assert_eq!(run.stats.steps, dense.metrics.round_sum(), "{label} steps");
+        // The publications identity: exactly one publication per step.
+        assert_eq!(run.stats.publications, run.stats.steps, "{label} pubs");
+        assert_eq!(run.stats.msg_bits, dense.stats.msg_bits, "{label} bits");
         assert_eq!(
-            sparse.stats.max_msg_bits, other.stats.max_msg_bits,
+            run.stats.max_msg_bits, dense.stats.max_msg_bits,
             "{label} max bits"
         );
     }
-    assert_eq!(sparse.outputs, dense.outputs, "sparse vs reference outputs");
-    assert_eq!(sparse.metrics, dense.metrics, "sparse vs reference metrics");
-    assert_eq!(sparse.outputs, par.outputs, "seq vs par outputs");
-    assert_eq!(sparse.metrics, par.metrics, "seq vs par metrics");
-    assert_eq!(sparse.stats.steps, par.stats.steps, "seq vs par work");
-    // The publications identity: exactly one publication per step, and
-    // total steps equal RoundSum — in every mode.
-    assert_eq!(sparse.stats.steps, sparse.metrics.round_sum());
-    assert_eq!(sparse.stats.publications, sparse.metrics.round_sum());
-    assert_eq!(par.stats.publications, sparse.metrics.round_sum());
     // The dense engine publishes the same messages but touches n per round.
-    assert_eq!(dense.stats.publications, sparse.stats.publications);
+    assert_eq!(dense.stats.publications, plain.stats.publications);
     assert_eq!(dense.stats.rounds as u64 * g.n() as u64, dense.stats.steps);
-    // Wire accounting is part of the engine contract: total and peak
-    // message bits must be identical in every execution mode.
-    assert_eq!(
-        sparse.stats.msg_bits, dense.stats.msg_bits,
-        "seq vs dense bits"
-    );
-    assert_eq!(sparse.stats.msg_bits, par.stats.msg_bits, "seq vs par bits");
-    assert_eq!(
-        sparse.stats.max_msg_bits, dense.stats.max_msg_bits,
-        "seq vs dense max bits"
-    );
-    assert_eq!(
-        sparse.stats.max_msg_bits, par.stats.max_msg_bits,
-        "seq vs par max bits"
-    );
 }
 
 proptest! {
@@ -313,6 +300,16 @@ proptest! {
     }
 
     #[test]
+    fn heapmsg_identical_across_engines(
+        pick in any::<u8>(),
+        n in 4usize..120,
+        gseed in any::<u64>(),
+    ) {
+        let g = family_graph(pick, n, 2, gseed);
+        assert_outcomes_identical(&HeapMsg, &g, 0);
+    }
+
+    #[test]
     fn per_round_wire_totals_identical_seq_and_par(
         pick in any::<u8>(),
         n in 4usize..100,
@@ -358,38 +355,28 @@ proptest! {
     #[test]
     fn hook_sequence_identical_sequential_and_parallel(
         pick in any::<u8>(),
-        n in 4usize..100,
+        n in 4usize..150,
         gseed in any::<u64>(),
+        seed in any::<u64>(),
     ) {
-        // The parallel engine may *execute* steps out of order, but the
-        // observer must see the exact same hook sequence as a sequential
-        // run — same events, same order, same phase attributions.
+        // Under forced fan-out, chunks step on worker threads and the
+        // hooks replay from per-worker event buffers, but the observer
+        // must see the sequential hook stream event for event — same
+        // events, same interleaving, same phase attributions.
         let g = family_graph(pick, n, 2, gseed);
         let ids = IdAssignment::identity(g.n());
-        let mut seq = Counting::default();
-        let out_seq = Runner::new(&Stagger, &g, &ids).run_with(&mut seq).unwrap();
-        let mut par = Counting::default();
-        let out_par = Runner::new(&Stagger, &g, &ids)
-            .parallel()
-            .tuning(fan_out())
-            .run_with(&mut par)
-            .unwrap();
-        prop_assert_eq!(out_seq.outputs, out_par.outputs);
-        prop_assert_eq!(&seq.round_starts, &par.round_starts);
-        prop_assert_eq!(&seq.phases, &par.phases);
-        prop_assert_eq!(&seq.steps, &par.steps);
-        prop_assert_eq!(&seq.terminates, &par.terminates);
-        // Round records match field-for-field except machine-dependent wall.
-        prop_assert_eq!(seq.round_ends.len(), par.round_ends.len());
-        for (s, p) in seq.round_ends.iter().zip(&par.round_ends) {
-            prop_assert_eq!(
-                (s.round, s.active, s.publications, s.msg_bits, s.max_msg_bits),
-                (p.round, p.active, p.publications, p.msg_bits, p.max_msg_bits)
-            );
-        }
+        let seq = hook_stream(&Stagger, &g, &ids, seed, false);
+        prop_assert_eq!(&seq, &hook_stream(&Stagger, &g, &ids, seed, true));
+        prop_assert_eq!(
+            hook_stream(&CoinFlip, &g, &ids, seed, false),
+            hook_stream(&CoinFlip, &g, &ids, seed, true)
+        );
         // Phase attribution accompanies every step, in lockstep.
-        let phase_vr: Vec<(VertexId, u32)> = seq.phases.iter().map(|&(v, r, _)| (v, r)).collect();
-        prop_assert_eq!(phase_vr, seq.steps.clone());
+        for (i, hook) in seq.iter().enumerate() {
+            if let Hook::Phase(v, r, _) = *hook {
+                prop_assert_eq!(&seq[i + 1], &Hook::Step(v, r));
+            }
+        }
     }
 
     #[test]
@@ -480,6 +467,61 @@ impl Observer for Counting {
     fn on_round_end(&mut self, record: &RoundRecord) {
         self.round_ends.push(record.clone());
     }
+}
+
+/// One observer hook invocation, wall time left out.
+#[derive(Clone, Debug, PartialEq)]
+enum Hook {
+    RoundStart(u32, usize),
+    Phase(VertexId, u32, simlocal::PhaseId),
+    Step(VertexId, u32),
+    Terminate(VertexId, u32),
+    RoundEnd(u32, usize, usize, u64, u64),
+}
+
+/// Observer that logs every hook into one interleaved stream.
+#[derive(Default)]
+struct HookStream(Vec<Hook>);
+
+impl Observer for HookStream {
+    fn on_round_start(&mut self, round: u32, active: usize) {
+        self.0.push(Hook::RoundStart(round, active));
+    }
+    fn on_phase(&mut self, v: VertexId, round: u32, phase: simlocal::PhaseId) {
+        self.0.push(Hook::Phase(v, round, phase));
+    }
+    fn on_step(&mut self, v: VertexId, round: u32) {
+        self.0.push(Hook::Step(v, round));
+    }
+    fn on_terminate(&mut self, v: VertexId, round: u32) {
+        self.0.push(Hook::Terminate(v, round));
+    }
+    fn on_round_end(&mut self, r: &RoundRecord) {
+        self.0.push(Hook::RoundEnd(
+            r.round,
+            r.active,
+            r.publications,
+            r.msg_bits,
+            r.max_msg_bits,
+        ));
+    }
+}
+
+/// The hook stream of one run, sequential or under forced fan-out.
+fn hook_stream<P: Protocol>(
+    p: &P,
+    g: &Graph,
+    ids: &IdAssignment,
+    seed: u64,
+    parallel: bool,
+) -> Vec<Hook> {
+    let mut obs = HookStream::default();
+    let mut r = Runner::new(p, g, ids).seed(seed);
+    if parallel {
+        r = r.parallel().tuning(fan_out());
+    }
+    r.run_with(&mut obs).unwrap();
+    obs.0
 }
 
 #[test]

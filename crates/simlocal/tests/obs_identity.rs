@@ -1,7 +1,7 @@
 //! The obs registry is an observer, never a participant: attaching it to
 //! a run must leave outputs, metrics, and `EngineStats` byte-identical to
-//! the same run without it — on the sync engine's fast and classic paths
-//! and on the actor backend — and the counters it records must reconcile
+//! the same run without it — on the sync engine, sequential and fanned
+//! out, and on the actor backend — and the counters it records must reconcile
 //! *exactly* with the engine's own accounting. A documented-names drift
 //! test pins DESIGN.md's metric list to the registry enumeration.
 
@@ -11,11 +11,11 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use simlocal::obs::{metric_names, Metric, Registry};
 use simlocal::{
-    ActorRunner, EngineTuning, Protocol, Runner, SimOutcome, StepCtx, Toggle, Transition,
+    ActorRunner, EngineTuning, Protocol, RunConfig, Runner, SimOutcome, StepCtx, Transition,
 };
 
 /// Randomized geometric decay (state-free, message-free): exercises the
-/// fast path and the per-(seed, vertex, round) RNG streams.
+/// per-(seed, vertex, round) RNG streams.
 struct CoinFlip;
 impl Protocol for CoinFlip {
     type State = ();
@@ -32,8 +32,8 @@ impl Protocol for CoinFlip {
     }
 }
 
-/// Neighbor-reading flood with real message bits: exercises the classic
-/// path's publish sweep and the wire accounting the reconciliation pins.
+/// Neighbor-reading flood with real message bits: exercises the message
+/// double buffer and the wire accounting the reconciliation pins.
 struct FloodMax;
 impl Protocol for FloodMax {
     type State = u64;
@@ -97,26 +97,17 @@ fn assert_runs_identical<O: PartialEq + std::fmt::Debug>(
     );
 }
 
-/// Sync engine (given tuning): obs-attached run is identical to the plain
+/// Sync engine (given config): obs-attached run is identical to the plain
 /// run, and the engine counter totals reconcile exactly with its stats.
-fn check_sync<P>(p: &P, g: &Graph, seed: u64, tuning: EngineTuning, label: &str)
+fn check_sync<P>(p: &P, g: &Graph, cfg: RunConfig, label: &str)
 where
     P: Protocol,
     P::Output: PartialEq + std::fmt::Debug,
 {
     let ids = IdAssignment::identity(g.n());
-    let plain = Runner::new(p, g, &ids)
-        .seed(seed)
-        .tuning(tuning)
-        .run()
-        .unwrap();
+    let plain = Runner::new(p, g, &ids).config(cfg).run().unwrap();
     let reg = Registry::new(1);
-    let observed = Runner::new(p, g, &ids)
-        .seed(seed)
-        .tuning(tuning)
-        .obs(&reg)
-        .run()
-        .unwrap();
+    let observed = Runner::new(p, g, &ids).config(cfg).obs(&reg).run().unwrap();
     assert_runs_identical(&plain, &observed, label);
     assert_eq!(
         reg.total(Metric::EngineRounds),
@@ -143,6 +134,13 @@ where
         observed.stats.msg_bits,
         "{label}: EngineMsgBits reconciles"
     );
+}
+
+/// A config that fans out on every round, even on one core.
+fn fan_out(seed: u64) -> RunConfig {
+    RunConfig::seeded(seed)
+        .parallel()
+        .with_tuning(EngineTuning::default().par_threshold(1).workers(3))
 }
 
 /// Actor backend: obs-attached run matches the plain sync run, and the
@@ -191,14 +189,8 @@ proptest! {
         shards in 1usize..5,
     ) {
         let g = family_graph(pick, n, gseed);
-        check_sync(&CoinFlip, &g, seed, EngineTuning::default(), "sync fast");
-        check_sync(
-            &CoinFlip,
-            &g,
-            seed,
-            EngineTuning::default().fast_path(Toggle::Off),
-            "sync classic",
-        );
+        check_sync(&CoinFlip, &g, RunConfig::seeded(seed), "sync");
+        check_sync(&CoinFlip, &g, fan_out(seed), "sync fan-out");
         check_actor(&CoinFlip, &g, seed, shards);
     }
 
@@ -211,14 +203,8 @@ proptest! {
         shards in 1usize..5,
     ) {
         let g = family_graph(pick, n, gseed);
-        check_sync(&FloodMax, &g, seed, EngineTuning::default(), "sync fast");
-        check_sync(
-            &FloodMax,
-            &g,
-            seed,
-            EngineTuning::default().fast_path(Toggle::Off),
-            "sync classic",
-        );
+        check_sync(&FloodMax, &g, RunConfig::seeded(seed), "sync");
+        check_sync(&FloodMax, &g, fan_out(seed), "sync fan-out");
         check_actor(&FloodMax, &g, seed, shards);
     }
 }
@@ -262,6 +248,28 @@ fn tcp_export_has_per_shard_barrier_and_byte_series() {
             "per-shard transport-bytes series for shard {shard}"
         );
     }
+}
+
+#[test]
+fn transport_counters_accumulate_across_runs() {
+    // Counters are cumulative: a second actor run recorded into the same
+    // registry adds its transport traffic to the first's.
+    let g = gen::grid(4, 6);
+    let ids = IdAssignment::identity(g.n());
+    let reg = Registry::new(2);
+    let run = || {
+        ActorRunner::new(&FloodMax, &g, &ids)
+            .shards(2)
+            .obs(&reg)
+            .run()
+            .unwrap()
+    };
+    // One run sends each step's update to the one peer at most once, and
+    // every update before the final round surely: 3 of FloodMax's 4
+    // rounds, so two runs together must exceed what one run can send.
+    let one_run_max = run().stats.steps;
+    run();
+    assert!(reg.total(Metric::TransportEntriesOut) > one_run_max);
 }
 
 #[test]

@@ -1,8 +1,7 @@
 //! The engine's zero-alloc steady-state contract, enforced with a
-//! counting global allocator: once the slabs and scratch are hoisted
-//! before round 1, sequential rounds allocate nothing — on the in-place
-//! Copy-message fast path *and* on the classic transition-buffering path
-//! under [`ScratchPolicy::Eager`].
+//! counting global allocator: once the slabs and the hook event buffer
+//! are hoisted before round 1, sequential rounds allocate nothing —
+//! unobserved, and under an observer that itself does not allocate.
 //!
 //! The measurement trick: run the same protocol on the same graph for
 //! two very different round counts and compare *allocation-call counts*.
@@ -16,7 +15,7 @@
 //! in the same binary would run on other threads and pollute it.
 
 use graphcore::{gen, Graph, IdAssignment, VertexId};
-use simlocal::{EngineTuning, Protocol, Runner, ScratchPolicy, StepCtx, Toggle, Transition};
+use simlocal::{NoObserver, Observer, PhaseId, Protocol, Runner, StepCtx, Transition};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -76,11 +75,35 @@ impl Protocol for Countdown {
     }
 }
 
-fn run_counting(g: &Graph, ids: &IdAssignment, rounds: u32, tuning: EngineTuning) -> u64 {
+/// Counts per-vertex hook calls into one field: observes every hook
+/// without allocating.
+#[derive(Default)]
+struct CountingObserver {
+    hooks: u64,
+}
+
+impl Observer for CountingObserver {
+    fn on_phase(&mut self, _: VertexId, _: u32, _: PhaseId) {
+        self.hooks += 1;
+    }
+    fn on_step(&mut self, _: VertexId, _: u32) {
+        self.hooks += 1;
+    }
+    fn on_terminate(&mut self, _: VertexId, _: u32) {
+        self.hooks += 1;
+    }
+}
+
+fn run_counting<Ob: Observer>(
+    g: &Graph,
+    ids: &IdAssignment,
+    rounds: u32,
+    observer: &mut Ob,
+) -> u64 {
     let p = Countdown { rounds };
     let mut stats_rounds = 0;
     let calls = alloc_calls_during(|| {
-        let out = Runner::new(&p, g, ids).tuning(tuning).run().unwrap();
+        let out = Runner::new(&p, g, ids).run_with(observer).unwrap();
         stats_rounds = out.stats.rounds;
         assert_eq!(out.stats.steps, g.n() as u64 * rounds as u64);
         drop(out);
@@ -96,34 +119,35 @@ fn steady_state_sequential_rounds_allocate_nothing() {
 
     // Warm up process-lazy allocations (test-harness I/O, etc.) and any
     // one-time engine state, so the measured runs start from parity.
-    run_counting(&g, &ids, 2, EngineTuning::default());
+    run_counting(&g, &ids, 2, &mut NoObserver);
+    run_counting(&g, &ids, 2, &mut CountingObserver::default());
 
     const SHORT: u32 = 8;
     const LONG: u32 = 200;
 
-    // Fast path (Copy-sized Msg, unobserved: Auto resolves to fast).
-    let fast = EngineTuning::default().fast_path(Toggle::On);
-    let short = run_counting(&g, &ids, SHORT, fast);
-    let long = run_counting(&g, &ids, LONG, fast);
+    // Unobserved.
+    let short = run_counting(&g, &ids, SHORT, &mut NoObserver);
+    let long = run_counting(&g, &ids, LONG, &mut NoObserver);
     assert_eq!(
         short,
         long,
-        "fast path: {} extra allocation calls across {} extra rounds",
+        "unobserved: {} extra allocation calls across {} extra rounds",
         long.saturating_sub(short),
         LONG - SHORT
     );
 
-    // Classic path with eager scratch: the transition buffer is hoisted
-    // to full capacity before round 1 and must never grow.
-    let classic = EngineTuning::default()
-        .fast_path(Toggle::Off)
-        .scratch(ScratchPolicy::Eager);
-    let short = run_counting(&g, &ids, SHORT, classic);
-    let long = run_counting(&g, &ids, LONG, classic);
+    // Observed: the hook event buffer is sized for the whole active set
+    // before round 1 and must never grow.
+    let short = run_counting(&g, &ids, SHORT, &mut CountingObserver::default());
+    let mut observer = CountingObserver::default();
+    let long = run_counting(&g, &ids, LONG, &mut observer);
+    // on_phase + on_step per vertex-round, on_terminate per vertex.
+    let n = g.n() as u64;
+    assert_eq!(observer.hooks, 2 * n * LONG as u64 + n);
     assert_eq!(
         short,
         long,
-        "classic path: {} extra allocation calls across {} extra rounds",
+        "observed: {} extra allocation calls across {} extra rounds",
         long.saturating_sub(short),
         LONG - SHORT
     );
