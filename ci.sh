@@ -112,6 +112,13 @@ echo "== parallel-scheduler gate: table2 --jobs 4 is byte-identical to the basel
     results/table2.quick.json target/ci-results/table2.quick.jobs4.json --tol 0
 ./target/release/bench-diff --metrics-check \
     target/ci-results/obs.jobs4.prom target/ci-results/obs.jobs4.prom.jsonl
+# Standard trials attach no observer, so no sync round may replay
+# per-vertex hooks: a trial that fell back onto the hook path would
+# count a classic round here.
+grep -qx 'simlocal_engine_classic_rounds_total 0' target/ci-results/obs.jobs4.prom || {
+    echo "Standard trials fired per-vertex hooks (classic rounds > 0)"
+    exit 1
+}
 
 echo "== transport smoke: loopback-TCP round-trip pins to the sync engine"
 # Framed codec messages over real sockets: the fixed-config TCP tests
@@ -120,7 +127,7 @@ echo "== transport smoke: loopback-TCP round-trip pins to the sync engine"
 cargo test -q -p simlocal --test actor_backend tcp > /dev/null
 
 echo "== trace smoke: export + self-validate JSONL and Chrome-trace"
-# Runs a small randomized-coloring workload under the full tracing stack;
+# Runs a small randomized-coloring workload with the event log attached;
 # the binary re-reads both artifacts and exits nonzero unless they parse,
 # Chrome-trace timestamps are monotone, event counts match the engine's
 # statistics, per-phase RoundSums total the run's RoundSum, and the

@@ -1,14 +1,14 @@
-//! `trace` — run one registered algorithm under the full tracing observer
-//! stack and export its event stream.
+//! `trace` — run one registered algorithm with the event-log observer
+//! attached and export its event stream.
 //!
 //! The algorithm is resolved by name from `benchharness::registry`, so
 //! every registered algorithm is traceable with no wiring here. The run
-//! attaches [`Telemetry`], [`PhaseBreakdown`], [`TraceLog`], and
-//! [`Profile`] (composed with `Tee` inside the registry's single run
+//! attaches a `simlocal::TraceLog` (inside the registry's single run
 //! path), then:
 //!
-//! * prints the per-phase `RoundSum` breakdown and the termination-round /
-//!   round-wall histograms,
+//! * prints the engine's per-phase `RoundSum` breakdown and the
+//!   termination-round / round-wall histograms, built from the trace's
+//!   termination and round events,
 //! * asserts the trace-level accounting identities (per-phase `RoundSum`s
 //!   total the engine's step count; trace event counts match
 //!   [`EngineStats`]; terminations == `n`),
@@ -37,7 +37,7 @@ use benchharness::pipeline::{WorkloadCache, WorkloadKey};
 use benchharness::registry::{self, Backend, ExecOptions, ObserveMode, Params};
 use benchharness::results::Json;
 use benchharness::Trial;
-use simlocal::EngineStats;
+use simlocal::{EngineStats, Histogram, TraceEvent};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::exit;
@@ -127,7 +127,6 @@ fn main() {
             );
         }
         benchharness::print_backends();
-        benchharness::perf::print_bench_index();
         return;
     }
     let spec = match registry::find(&args.algo) {
@@ -187,10 +186,16 @@ fn trace_run(spec: &registry::AlgoSpec, args: &Args) -> Vec<String> {
         opts = opts.metrics(r);
     }
     let out = spec.exec(&opts);
-    let (row, stats) = (out.row.unwrap(), out.stats);
-    let breakdown = out.breakdown.unwrap();
-    let (log, profile) = out.trace.unwrap();
+    let (row, stats, log) = (out.row.unwrap(), out.stats, out.trace.unwrap());
     let n = gg.graph.n();
+    let (mut term_rounds, mut round_wall_us) = (Histogram::new(), Histogram::new());
+    for e in &log.events {
+        match *e {
+            TraceEvent::Terminate { round, .. } => term_rounds.record(round as u64),
+            TraceEvent::RoundEnd { wall_us, .. } => round_wall_us.record(wall_us),
+            _ => {}
+        }
+    }
 
     println!(
         "trace: {} on forest_union (n={}, a={}, seed={}, {}, backend {})",
@@ -214,27 +219,39 @@ fn trace_run(spec: &registry::AlgoSpec, args: &Args) -> Vec<String> {
         stats.msg_bits, row.avg_msg_bits, stats.max_msg_bits
     );
     println!("  per-phase breakdown (phase, RoundSum, VA share, terminations):");
-    for (phase, round_sum, terms) in breakdown.rows() {
+    for (phase, terms) in row.phases.iter().zip(&stats.phase_terminations) {
         println!(
-            "    {phase:<14} {round_sum:>10}  {:>8.3}  {terms:>8}",
-            round_sum as f64 / n as f64
+            "    {:<14} {:>10}  {:>8.3}  {terms:>8}",
+            phase.name,
+            phase.round_sum,
+            phase.round_sum as f64 / n as f64
         );
     }
     println!();
-    print!(
-        "{}",
-        profile.termination_rounds.render("termination rounds")
-    );
-    print!("{}", profile.round_wall_us.render("round wall time (us)"));
+    print!("{}", term_rounds.render("termination rounds"));
+    print!("{}", round_wall_us.render("round wall time (us)"));
 
     let mut failures = Vec::new();
 
-    // Accounting identities between the observers and the engine.
-    if breakdown.total_round_sum() != stats.steps {
+    // Accounting identities between the engine's tallies, the trace and
+    // the engine's totals.
+    let phase_total: u64 = stats.phase_steps.iter().sum();
+    if phase_total != stats.steps {
         failures.push(format!(
-            "per-phase RoundSums total {} but the engine counted {} steps",
-            breakdown.total_round_sum(),
+            "per-phase RoundSums total {phase_total} but the engine counted {} steps",
             stats.steps
+        ));
+    }
+    let mut traced_phases = vec![0u64; stats.phase_steps.len()];
+    for e in &log.events {
+        if let TraceEvent::Step { phase, .. } = *e {
+            traced_phases[phase as usize] += 1;
+        }
+    }
+    if traced_phases != stats.phase_steps {
+        failures.push(format!(
+            "trace step phases {traced_phases:?} differ from the engine's tally {:?}",
+            stats.phase_steps
         ));
     }
     if log.step_events() != stats.steps {

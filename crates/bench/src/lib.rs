@@ -3,14 +3,14 @@
 //! # benchharness — regenerating the paper's tables and figures
 //!
 //! Shared machinery for the harness binaries (`table1`, `table2`,
-//! `figures`, `scenarios`, `ablations`, `bench-diff`, `trace`) and the
-//! Criterion benches, organized as a two-level declarative layer:
+//! `figures`, `scenarios`, `ablations`, `bench-diff`, `trace`, `perf`),
+//! organized as a two-level declarative layer:
 //!
 //! * [`registry`] — every algorithm as one [`registry::AlgoSpec`]
 //!   declaration (name, problem, constructor, palette-cap function,
 //!   paper-bound tag) behind the dyn-erased [`registry::ErasedAlgo`]
-//!   trait, so exactly one code path constructs, runs, observes,
-//!   verifies, and turns a run into a [`Row`];
+//!   trait, so exactly one code path constructs, runs, verifies, and
+//!   turns a run into a [`Row`];
 //! * [`spec`] + [`suites`] — every experiment as one
 //!   [`spec::ExperimentSpec`] entry executed by the shared
 //!   [`spec::execute`] engine (filtering, trial sweeps, printing, JSON,
@@ -44,13 +44,14 @@ pub use trials::{print_summaries, summarize, IdMode, Stats, Sweep, Trial, TrialS
 
 use algos::itlog;
 use graphcore::gen::GenGraph;
-use simlocal::{EngineStats, PhaseBreakdown, Protocol, RoundMetrics, RunConfig, Tee, Telemetry};
+use simlocal::{EngineStats, RoundMetrics, RunConfig};
 
-/// One phase's share of a run's `RoundSum`, as reported by the protocol's
-/// [`Protocol::phase_of`] attribution (see `simlocal::PhaseBreakdown`).
+/// One phase's share of a run's `RoundSum`, as the engine tallied it
+/// from the protocol's `Protocol::phase_of` attribution
+/// ([`EngineStats::phase_steps`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct PhaseSum {
-    /// Phase name (from [`Protocol::phase_names`]).
+    /// Phase name (from `Protocol::phase_names`).
     pub name: String,
     /// Rounds this phase consumed, summed over all vertices.
     pub round_sum: u64,
@@ -191,25 +192,31 @@ impl Row {
         self
     }
 
-    /// Attaches the observer data every harness run now collects: the
-    /// [`Telemetry`] active-set series (engine rounds, even when the row's
-    /// headline metrics are commit-based) and the per-phase `RoundSum`
-    /// breakdown.
-    pub fn with_trace(mut self, telemetry: &Telemetry, breakdown: &PhaseBreakdown) -> Row {
-        self.active_series = telemetry.active.iter().map(|&a| a as u64).collect();
-        self.phases = breakdown
-            .rows()
-            .into_iter()
-            .map(|(name, round_sum, _)| PhaseSum { name, round_sum })
+    /// Attaches the engine's own series, which every harness row reports
+    /// beside its headline metrics: the active-set series of the engine
+    /// run `engine` (engine rounds, even when the headline metrics are
+    /// commit-based) and the per-phase `RoundSum` split from `stats`,
+    /// labeled with the protocol's phase `names` (`phase<N>` past them).
+    pub fn with_engine_series(
+        mut self,
+        engine: &RoundMetrics,
+        stats: &EngineStats,
+        names: &[&str],
+    ) -> Row {
+        self.active_series = engine.active_per_round.iter().map(|&a| a as u64).collect();
+        self.phases = stats
+            .phase_steps
+            .iter()
+            .enumerate()
+            .map(|(p, &round_sum)| PhaseSum {
+                name: names
+                    .get(p)
+                    .map_or_else(|| format!("phase{p}"), |n| n.to_string()),
+                round_sum,
+            })
             .collect();
         self
     }
-}
-
-/// The observer pair every harness runner attaches: telemetry for the
-/// active-decay series, phase breakdown for the per-subroutine RoundSum.
-pub fn harness_observer<P: Protocol>(p: &P) -> Tee<Telemetry, PhaseBreakdown> {
-    Tee(Telemetry::new(), PhaseBreakdown::new(p.phase_names()))
 }
 
 /// Prints a header followed by rows, both human-readable and as `#csv`.

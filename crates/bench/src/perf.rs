@@ -21,7 +21,7 @@
 
 use crate::results::{fnum, quote, Json};
 use graphcore::{gen, Graph, IdAssignment, VertexId};
-use simlocal::{ActorRunner, EngineStats, Protocol, Runner, StepCtx, Telemetry, Transition};
+use simlocal::{ActorRunner, EngineStats, Observer, Protocol, Runner, StepCtx, Transition};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -348,11 +348,35 @@ impl Protocol for FloodDecay {
     }
 }
 
+/// An observer whose hooks fire on every step, termination and round,
+/// counting them: the cost of running with per-vertex hooks attached,
+/// without the cost of storing what they report.
+#[derive(Default)]
+struct HookCounter {
+    steps: u64,
+    terminations: u64,
+    rounds: u32,
+}
+
+impl Observer for HookCounter {
+    fn on_step(&mut self, _: VertexId, _: u32) {
+        self.steps += 1;
+    }
+
+    fn on_terminate(&mut self, _: VertexId, _: u32) {
+        self.terminations += 1;
+    }
+
+    fn on_round_end(&mut self, _: &simlocal::RoundRecord) {
+        self.rounds += 1;
+    }
+}
+
 /// The standard perf suite on `n` vertices: the cycle graph (deterministic,
 /// O(n) to build, degree 2) under the decay protocols, sequential mode.
 /// The machine gating the committed baseline has a single core, so the
-/// parallel path is exercised by the correctness tests and the Criterion
-/// bench, not the perf gate.
+/// parallel path is exercised by the correctness tests, not the perf
+/// gate.
 pub fn run_suite(n: usize, reps: usize) -> Vec<PerfEntry> {
     let g = gen::cycle(n);
     let ids = IdAssignment::identity(n);
@@ -360,14 +384,19 @@ pub fn run_suite(n: usize, reps: usize) -> Vec<PerfEntry> {
         measure("decay_seq_n20", n, reps, || {
             Runner::new(&PureDecay, &g, &ids).run().unwrap().stats
         }),
-        // The same protocol with `Telemetry` attached: the observed
-        // path Standard-mode harness trials take (hooks replayed from
-        // the kernel's event buffer every round).
+        // The same protocol with per-vertex hooks attached: the observed
+        // path traced runs take (hooks replayed from the kernel's event
+        // buffer every round).
         measure("decay_observed_seq_n20", n, reps, || {
-            Runner::new(&PureDecay, &g, &ids)
-                .run_with(&mut Telemetry::new())
+            let mut hooks = HookCounter::default();
+            let stats = Runner::new(&PureDecay, &g, &ids)
+                .run_with(&mut hooks)
                 .unwrap()
-                .stats
+                .stats;
+            assert_eq!(hooks.steps, stats.steps, "a hook per step");
+            assert_eq!(hooks.terminations, n as u64, "a hook per vertex");
+            assert_eq!(hooks.rounds, stats.rounds, "a hook per round");
+            stats
         }),
         measure("flood_seq_n20", n, reps, || {
             Runner::new(&FloodDecay, &g, &ids).run().unwrap().stats
@@ -536,64 +565,6 @@ pub fn suite_ids() -> Vec<&'static str> {
     ]
 }
 
-/// The Criterion bench ids of every bench target in this crate, grouped by
-/// bench binary — printed by each suite binary's `--list` alongside the
-/// experiment table, so the benchable surface is discoverable without
-/// opening the bench sources. Registry-derived ids stay in lockstep with
-/// the registry automatically.
-pub fn bench_index() -> Vec<(&'static str, Vec<String>)> {
-    use crate::registry::{self, Problem};
-    let t1: Vec<String> = registry::all()
-        .iter()
-        .filter(|s| s.problem == Problem::VertexColoring)
-        .map(|s| format!("t1_{}", s.name))
-        .chain(["t1_one_plus_eta_a16".into(), "t1_delta_plus_one_hub".into()])
-        .collect();
-    let t2: Vec<String> = registry::all()
-        .iter()
-        .filter(|s| s.problem != Problem::VertexColoring)
-        .map(|s| format!("t2_{}", s.name))
-        .collect();
-    vec![
-        ("coloring", t1),
-        ("mis_mm_edge", t2),
-        (
-            "engine",
-            vec![
-                "engine_seq_vs_par/{seq,par}/{4096,32768}".into(),
-                "engine_partition_64k".into(),
-                "engine_sparse_vs_dense/{partition,geom_decay}_{sparse,dense}/n".into(),
-            ],
-        ),
-        (
-            "partition",
-            vec![
-                "partition/procedure_partition/n".into(),
-                "forest_decomposition/{parallelized,baseline}/n".into(),
-            ],
-        ),
-        (
-            "scenarios",
-            vec!["simulation_efficiency/{sparse,dense}/n".into()],
-        ),
-        (
-            "perf (binary)",
-            suite_ids().iter().map(|s| s.to_string()).collect(),
-        ),
-    ]
-}
-
-/// Prints the bench-id index (the `--list` tail shared by every binary).
-pub fn print_bench_index() {
-    println!("\ncriterion bench ids (cargo bench -p benchharness --bench NAME):");
-    for (bench, ids) in bench_index() {
-        println!("  {bench}:");
-        for id in ids {
-            println!("    {id}");
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -697,12 +668,5 @@ mod tests {
         assert_eq!(e.rounds, 7, "64 vertices decay in log2(64)+1 rounds");
         assert!(e.vertex_rounds > 64, "RoundSum ≈ 2n");
         assert!(e.vr_per_sec > 0.0);
-    }
-
-    #[test]
-    fn suite_ids_match_bench_index() {
-        let idx = bench_index();
-        let perf = &idx.iter().find(|(b, _)| *b == "perf (binary)").unwrap().1;
-        assert_eq!(perf.len(), suite_ids().len());
     }
 }

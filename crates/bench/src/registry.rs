@@ -7,29 +7,29 @@
 //! now declares its name, its [`Problem`], its constructor over
 //! `(GenGraph, Params)`, its claimed palette-cap function, and its paper
 //! bound tag — and **exactly one** code path constructs the protocol,
-//! runs it under the standard observer pair ([`Telemetry`] +
-//! [`PhaseBreakdown`] via `Tee`), verifies the output through
-//! [`Problem::verify_output`], and assembles the [`Row`].
+//! runs it, verifies the output through [`Problem::verify_output`], and
+//! assembles the [`Row`] from the outcome (whose [`EngineStats`] already
+//! carry the per-phase `RoundSum` split).
 //!
 //! Consumers resolve algorithms by name ([`find`]) or enumerate them
 //! ([`all`]), then execute through **one** entry point:
 //! [`AlgoSpec::exec`], driven by an [`ExecOptions`] value. The options
-//! select the observation level ([`ObserveMode`]: `Bare` for benches,
-//! `Standard` for measurement rows, `Traced` for the full event-log
-//! stack), the execution mode (sequential / parallel), and the backend
-//! — so the spec-driven binaries (via [`crate::spec::execute`]), the
-//! `trace` binary, and the Criterion benches all go through the same
-//! construct → run → verify path. Registering a new algorithm here
-//! makes it immediately runnable, traceable, and benchable.
+//! select the observation level ([`ObserveMode`]: `Bare` for timing
+//! runs, `Standard` for measurement rows, `Traced` for the event log),
+//! the execution mode (sequential / parallel), and the backend — so the
+//! spec-driven binaries (via [`crate::spec::execute`]), the `trace`
+//! binary, and the benchmark all go through the same construct → run →
+//! verify path. Registering a new algorithm here makes it immediately
+//! runnable, traceable, and benchable.
 
-use crate::{cfg, harness_observer, Row, Trial};
+use crate::{cfg, Row, Trial};
 use algos::{baselines, coloring, edge_coloring, forests, matching, mis, pipeline, rand_coloring};
 use graphcore::churn::{self, ChurnPlan};
 use graphcore::{gen::GenGraph, verify, Graph, IdAssignment, VertexId};
 use simlocal::obs::Metric as ObsMetric;
 use simlocal::{
-    ActorRunner, EngineStats, NoObserver, Observer, PhaseBreakdown, Profile, Protocol, Runner,
-    SimOutcome, TraceLog, WarmOutcome, WarmStart,
+    ActorRunner, EngineStats, NoObserver, Observer, Protocol, Runner, SimOutcome, TraceLog,
+    WarmOutcome, WarmStart,
 };
 use std::sync::OnceLock;
 
@@ -270,15 +270,14 @@ pub struct DecayClaim {
 /// spread over three separate entry points.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ObserveMode {
-    /// No observers, no verification, no row: the benching path (timing
-    /// includes protocol construction, as Criterion measures it).
+    /// No verification, no row: the timing path (its time includes
+    /// protocol construction).
     Bare,
-    /// The standard observer pair ([`simlocal::Telemetry`] +
-    /// [`PhaseBreakdown`]), output verification, and a [`Row`].
+    /// Output verification and a [`Row`], built from the outcome alone:
+    /// the run attaches no observer, so no per-vertex hook fires.
     #[default]
     Standard,
-    /// `Standard` plus the full tracing stack ([`TraceLog`] +
-    /// [`Profile`]) teed on.
+    /// `Standard` plus the per-vertex event stream ([`TraceLog`]).
     Traced,
 }
 
@@ -361,13 +360,11 @@ pub struct ExecOutcome {
     /// The verified measurement row ([`None`] for [`ObserveMode::Bare`],
     /// which skips verification entirely).
     pub row: Option<Row>,
-    /// Engine work/wall accounting.
+    /// Engine work/wall accounting, per-phase tallies included.
     pub stats: EngineStats,
-    /// Per-phase RoundSum / termination accounting ([`None`] for `Bare`).
-    pub breakdown: Option<PhaseBreakdown>,
-    /// The exportable event log + histograms ([`Some`] only for
+    /// The exportable event log ([`Some`] only for
     /// [`ObserveMode::Traced`]).
-    pub trace: Option<(TraceLog, Profile)>,
+    pub trace: Option<TraceLog>,
 }
 
 impl ExecOutcome {
@@ -497,15 +494,6 @@ struct Algo<P, B, C, E> {
     _marker: std::marker::PhantomData<fn() -> P>,
 }
 
-/// The output of one erased execution, before the caller picks the parts
-/// it needs.
-struct ExecOut<X> {
-    row: Row,
-    stats: EngineStats,
-    breakdown: PhaseBreakdown,
-    extra: X,
-}
-
 impl<P, B, C, E> Algo<P, B, C, E>
 where
     P: Protocol,
@@ -552,14 +540,14 @@ where
         .expect("protocol terminates")
     }
 
-    /// The single construct → run → observe → verify → Row path behind
-    /// every observed execution; [`ErasedAlgo::exec`] only chooses the
-    /// extra observer to tee on.
-    fn exec_observed<X: Observer>(
+    /// The single construct → run → verify → Row path behind every
+    /// verified execution; [`ErasedAlgo::exec`] only chooses the observer
+    /// (none for `Standard`, a [`TraceLog`] for `Traced`).
+    fn exec_verified<Ob: Observer>(
         &self,
         o: &ExecOptions<'_>,
-        mk_extra: impl FnOnce(&P) -> X,
-    ) -> ExecOut<X> {
+        mk_observer: impl FnOnce(&P) -> Ob,
+    ) -> (ExecOutcome, Ob) {
         let ExecOptions {
             exp,
             gg,
@@ -575,7 +563,7 @@ where
         let p = (self.build)(gg, params);
         let ids = trial.ids(gg.graph.n());
         let cap = (self.cap)(&p, gg, &ids);
-        let mut obs = simlocal::Tee(harness_observer(&p), mk_extra(&p));
+        let mut obs = mk_observer(&p);
         if let (Some(m), Some(t0)) = (mob, queue_t0) {
             m.add_elapsed(ObsMetric::HarnessQueueNs, t0);
         }
@@ -617,14 +605,13 @@ where
         .with_stats(&out.stats)
         .with_trial(trial)
         .with_cap(cap)
-        .with_trace(&obs.0 .0, &obs.0 .1);
-        let simlocal::Tee(simlocal::Tee(_telemetry, breakdown), extra) = obs;
-        ExecOut {
-            row,
+        .with_engine_series(&out.metrics, &out.stats, p.phase_names());
+        let outcome = ExecOutcome {
+            row: Some(row),
             stats: out.stats,
-            breakdown,
-            extra,
-        }
+            trace: None,
+        };
+        (outcome, obs)
     }
 }
 
@@ -754,29 +741,16 @@ where
                 ExecOutcome {
                     row: None,
                     stats: out.stats,
-                    breakdown: None,
                     trace: None,
                 }
             }
-            ObserveMode::Standard => {
-                let out = self.exec_observed(opts, |_| NoObserver);
-                ExecOutcome {
-                    row: Some(out.row),
-                    stats: out.stats,
-                    breakdown: Some(out.breakdown),
-                    trace: None,
-                }
-            }
+            ObserveMode::Standard => self.exec_verified(opts, |_| NoObserver).0,
             ObserveMode::Traced => {
-                let out = self.exec_observed(opts, |p| {
-                    simlocal::Tee(TraceLog::with_phases(p.phase_names()), Profile::new())
-                });
-                let simlocal::Tee(log, profile) = out.extra;
+                let (out, log) =
+                    self.exec_verified(opts, |p| TraceLog::with_phases(p.phase_names()));
                 ExecOutcome {
-                    row: Some(out.row),
-                    stats: out.stats,
-                    breakdown: Some(out.breakdown),
-                    trace: Some((log, profile)),
+                    trace: Some(log),
+                    ..out
                 }
             }
         }

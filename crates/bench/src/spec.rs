@@ -495,7 +495,6 @@ fn print_list(suite: &str, specs: &[ExperimentSpec]) {
          0 = NCPU); results are byte-identical for every N"
     );
     crate::print_backends();
-    crate::perf::print_bench_index();
 }
 
 /// One-line description of a churn plan for listings and the index.
@@ -600,6 +599,16 @@ fn check_workload_files(suite: &str, specs: &[ExperimentSpec], cli: &Cli) {
     }
 }
 
+/// Reports an output file the suite could not create or write as a named
+/// error, and exits 2.
+fn write_failed(suite: &str, what: &str, path: &std::path::Path, e: std::io::Error) -> ! {
+    eprintln!(
+        "error: [{suite}] cannot write {what} {}: {e}",
+        path.display()
+    );
+    std::process::exit(2);
+}
+
 /// The shared suite engine: a thin shim over the pipeline layers. Every
 /// selected `Rows` experiment is planned ([`pipeline::plan_rows`]),
 /// scheduled across `--jobs` workers over one invocation-wide
@@ -628,9 +637,12 @@ pub fn execute(suite: &'static str, specs: &[ExperimentSpec], cli: &Cli) -> Suit
         simlocal::obs::Registry::new(shards)
     });
     let mut snapshots = cli.metrics.as_ref().map(|p| {
+        // Like `--json`, `--metrics` creates its parent directory.
         let path = metrics_jsonl_path(p);
-        std::fs::File::create(&path)
-            .unwrap_or_else(|e| panic!("create metrics JSONL {}: {e}", path.display()))
+        p.parent()
+            .map_or(Ok(()), std::fs::create_dir_all)
+            .and_then(|()| std::fs::File::create(&path))
+            .unwrap_or_else(|e| write_failed(suite, "metrics JSONL", &path, e))
     });
     // One workload cache and one job-id space span the invocation, so
     // graphs are shared across specs and every job of a suite run has a
@@ -660,8 +672,10 @@ pub fn execute(suite: &'static str, specs: &[ExperimentSpec], cli: &Cli) -> Suit
                     continue;
                 }
                 if let (Some(reg), Some(f)) = (&metrics_reg, &mut snapshots) {
-                    reg.write_jsonl_snapshot(f, spec.id)
-                        .expect("write metrics snapshot");
+                    if let Err(e) = reg.write_jsonl_snapshot(f, spec.id) {
+                        let path = metrics_jsonl_path(cli.metrics.as_ref().expect("set"));
+                        write_failed(suite, "metrics JSONL", &path, e);
+                    }
                 }
                 print_rows(spec.title, &rows);
                 if let Some(post) = post {
@@ -724,17 +738,21 @@ pub fn execute(suite: &'static str, specs: &[ExperimentSpec], cli: &Cli) -> Suit
         summaries.clone(),
     );
     if let Some(path) = &cli.json {
-        result.write(path).expect("write results JSON");
+        if let Err(e) = result.write(path) {
+            write_failed(suite, "results JSON", path, e);
+        }
         println!("results written to {}", path.display());
     }
     if let (Some(reg), Some(path)) = (&metrics_reg, &cli.metrics) {
         use simlocal::obs::Metric;
         if let Some(f) = &mut snapshots {
-            reg.write_jsonl_snapshot(f, "final")
-                .expect("write final metrics snapshot");
+            if let Err(e) = reg.write_jsonl_snapshot(f, "final") {
+                write_failed(suite, "metrics JSONL", &metrics_jsonl_path(path), e);
+            }
         }
-        std::fs::write(path, reg.prometheus_text())
-            .unwrap_or_else(|e| panic!("write metrics exposition {}: {e}", path.display()));
+        if let Err(e) = std::fs::write(path, reg.prometheus_text()) {
+            write_failed(suite, "metrics exposition", path, e);
+        }
         println!(
             "#obs trials={} engine_rounds={} actor_rounds={} steps={} msg_bits={} \
              barrier_wait_ns={} transport_bytes_out={} prom={} jsonl={}",

@@ -1,13 +1,15 @@
 //! Golden tests pinning the algorithm registry: the enumerated set of
 //! algorithms (names, problems, claimed caps) must not drift silently,
-//! and the erased run path must produce rows field-identical to the
-//! pre-registry wiring (observer pair + verify + `Row` builders inlined
-//! by hand, exactly as the deleted `run_*` wrappers did).
+//! and the erased run path must produce rows field-identical to a
+//! hand-wired one (run + verify + `Row` builders inlined, with the
+//! active series and per-phase `RoundSum` counted from a `TraceLog`'s
+//! hook events rather than the engine's own tallies).
 
 use benchharness::registry::{self, ExecOptions, ObserveMode, Params, Problem, Solution};
-use benchharness::{cfg, forest_workload, harness_observer, Row, Trial};
+use benchharness::{cfg, forest_workload, PhaseSum, Row, Trial};
 use graphcore::verify;
-use simlocal::Runner;
+use simlocal::obs::{Metric, Registry};
+use simlocal::{Protocol, Runner, TraceEvent, TraceLog};
 
 /// Golden enumeration: every registered algorithm with its problem and
 /// the palette cap it claims on the reference workload (n = 256, a = 2,
@@ -97,10 +99,11 @@ fn assert_rows_equivalent(reg: &Row, inline: &Row) {
     }
 }
 
-/// The erased run path must be observation-for-observation identical to
-/// the pre-registry wiring: same observer pair, same verification, same
-/// Row fields. Recreates that wiring inline for a deterministic and a
-/// randomized coloring and compares every measured field.
+/// The erased run path must be identical to the hand-wired one: same
+/// verification, same Row fields, and the engine's per-phase tallies
+/// equal to what the per-vertex hooks report. Recreates that wiring
+/// inline for a deterministic and a randomized coloring and compares
+/// every measured field.
 #[test]
 fn erased_run_matches_inline_wiring_for_colorings() {
     let gg = forest_workload(300, 2, 7);
@@ -110,33 +113,57 @@ fn erased_run_matches_inline_wiring_for_colorings() {
             .exec(&ExecOptions::new("EQ", &gg, &trial))
             .into_row();
 
-        // Pre-registry wiring, by hand: construct, run under the
-        // standard observer pair, verify, assemble.
+        // By hand: construct, run with a trace attached, verify,
+        // assemble.
         let ids = trial.ids(gg.graph.n());
         let inline_row = match name {
             "a2logn" => {
                 let p = algos::coloring::a2logn::ColoringA2LogN::new(gg.arboricity);
                 let cap = p.palette(&ids) as usize;
-                let mut obs = harness_observer(&p);
+                let mut log = TraceLog::new();
                 let out = Runner::new(&p, &gg.graph, &ids)
                     .config(cfg(trial.seed))
-                    .run_with(&mut obs)
+                    .run_with(&mut log)
                     .unwrap();
-                row_from(&gg, "a2logn", &out, cap, &trial, &obs)
+                row_from(&gg, "a2logn", &out, cap, &trial, &log, p.phase_names())
             }
             _ => {
                 let p = algos::rand_coloring::delta_plus_one::RandDeltaPlusOne::new();
                 let cap = p.palette_on(&gg.graph) as usize;
-                let mut obs = harness_observer(&p);
+                let mut log = TraceLog::new();
                 let out = Runner::new(&p, &gg.graph, &ids)
                     .config(cfg(trial.seed))
-                    .run_with(&mut obs)
+                    .run_with(&mut log)
                     .unwrap();
-                row_from(&gg, "rand_delta_plus_one", &out, cap, &trial, &obs)
+                let names = p.phase_names();
+                row_from(&gg, "rand_delta_plus_one", &out, cap, &trial, &log, names)
             }
         };
         assert_rows_equivalent(&reg_row, &inline_row);
     }
+}
+
+/// `row` with its active series and per-phase `RoundSum` counted from
+/// the trace's round and step events.
+fn with_traced_series(mut row: Row, log: &TraceLog, names: &[&str]) -> Row {
+    let mut steps = vec![0u64; names.len().max(1)];
+    row.active_series.clear();
+    for e in &log.events {
+        match *e {
+            TraceEvent::Step { phase, .. } => steps[phase as usize] += 1,
+            TraceEvent::RoundEnd { active, .. } => row.active_series.push(active as u64),
+            _ => {}
+        }
+    }
+    row.phases = names
+        .iter()
+        .zip(steps)
+        .map(|(name, round_sum)| PhaseSum {
+            name: name.to_string(),
+            round_sum,
+        })
+        .collect();
+    row
 }
 
 fn row_from(
@@ -145,11 +172,12 @@ fn row_from(
     out: &simlocal::SimOutcome<u64>,
     cap: usize,
     trial: &Trial,
-    obs: &simlocal::Tee<simlocal::Telemetry, simlocal::PhaseBreakdown>,
+    log: &TraceLog,
+    names: &[&str],
 ) -> Row {
     let colors = verify::count_distinct(&out.outputs);
     let valid = verify::proper_vertex_coloring(&gg.graph, &out.outputs, cap).is_ok();
-    Row::from_metrics(
+    let row = Row::from_metrics(
         "EQ",
         algo,
         gg.family,
@@ -161,12 +189,12 @@ fn row_from(
     )
     .with_stats(&out.stats)
     .with_trial(trial)
-    .with_cap(cap)
-    .with_trace(&obs.0, &obs.1)
+    .with_cap(cap);
+    with_traced_series(row, log, names)
 }
 
 /// Same equivalence for a set problem (MIS): the registry row must match
-/// the hand-wired observer + verifier path bit-for-bit.
+/// the hand-wired trace + verifier path bit-for-bit.
 #[test]
 fn erased_run_matches_inline_wiring_for_mis() {
     let gg = forest_workload(280, 2, 9);
@@ -177,10 +205,10 @@ fn erased_run_matches_inline_wiring_for_mis() {
 
     let p = algos::mis::MisExtension::new(gg.arboricity);
     let ids = trial.ids(gg.graph.n());
-    let mut obs = harness_observer(&p);
+    let mut log = TraceLog::new();
     let out = Runner::new(&p, &gg.graph, &ids)
         .config(cfg(trial.seed))
-        .run_with(&mut obs)
+        .run_with(&mut log)
         .unwrap();
     let verdict =
         Problem::Mis.verify_output(&gg.graph, &Solution::InSet(out.outputs.clone()), usize::MAX);
@@ -196,13 +224,13 @@ fn erased_run_matches_inline_wiring_for_mis() {
     )
     .with_stats(&out.stats)
     .with_trial(&trial)
-    .with_cap(usize::MAX)
-    .with_trace(&obs.0, &obs.1);
+    .with_cap(usize::MAX);
+    let inline_row = with_traced_series(inline_row, &log, p.phase_names());
     assert_rows_equivalent(&reg_row, &inline_row);
 }
 
 /// Each observation level populates exactly what it promises: `Traced`
-/// yields the `Standard` row plus the trace stack, `Bare` runs to
+/// yields the `Standard` row plus the event log, `Bare` runs to
 /// completion with nothing observed or verified.
 #[test]
 fn exec_observe_modes_populate_what_they_promise() {
@@ -213,13 +241,42 @@ fn exec_observe_modes_populate_what_they_promise() {
     let standard = spec.exec(&ExecOptions::new("EQ", &gg, &trial)).into_row();
     let traced = spec.exec(&ExecOptions::new("EQ", &gg, &trial).observe(ObserveMode::Traced));
     assert_rows_equivalent(&standard, traced.row.as_ref().unwrap());
-    let (log, _profile) = traced.trace.unwrap();
+    let log = traced.trace.unwrap();
     assert_eq!(log.step_events(), traced.stats.steps);
     assert_eq!(log.terminate_events() as usize, gg.graph.n());
 
     let bare = spec.exec(&ExecOptions::new("bench", &gg, &trial).observe(ObserveMode::Bare));
     assert!(bare.row.is_none());
-    assert!(bare.breakdown.is_none());
     assert!(bare.trace.is_none());
     assert_eq!(bare.stats.steps, traced.stats.steps);
+    assert_eq!(bare.stats.phase_steps, traced.stats.phase_steps);
+}
+
+/// A `Standard` trial attaches no observer, so every round runs without
+/// per-vertex hooks — on the sync engine, with an obs registry watching.
+/// A `Traced` trial still replays hooks on every round.
+#[test]
+fn standard_exec_fires_no_per_vertex_hooks() {
+    let gg = forest_workload(240, 2, 11);
+    let trial = Trial::identity(1);
+    for name in ["a2logn", "mis_extension", "edge_col_extension"] {
+        let spec = registry::get(name);
+        let reg = Registry::new(1);
+        let out = spec.exec(&ExecOptions::new("EQ", &gg, &trial).metrics(&reg));
+        assert!(out.row.unwrap().valid, "{name}: valid");
+        let rounds = reg.total(Metric::EngineRounds);
+        assert_eq!(rounds, out.stats.rounds as u64, "{name}: rounds recorded");
+        assert_eq!(
+            reg.total(Metric::EngineClassicRounds),
+            0,
+            "{name}: hooks fired"
+        );
+        assert_eq!(reg.total(Metric::EngineFastRounds), rounds, "{name}");
+
+        let reg = Registry::new(1);
+        let opts = ExecOptions::new("EQ", &gg, &trial).metrics(&reg);
+        spec.exec(&opts.observe(ObserveMode::Traced));
+        assert_eq!(reg.total(Metric::EngineClassicRounds), rounds, "{name}");
+        assert_eq!(reg.total(Metric::EngineFastRounds), 0, "{name}");
+    }
 }

@@ -316,25 +316,24 @@ mod tests {
 
     #[test]
     fn phase_breakdown_partitions_round_sum() {
-        use simlocal::{PhaseBreakdown, Protocol as _};
+        use simlocal::Protocol as _;
         let mut rng = ChaCha8Rng::seed_from_u64(202);
         let gg = gen::forest_union(512, 2, &mut rng);
         let ids = IdAssignment::identity(512);
         let p = Compose::new(2, Delay { t: 4 });
-        let mut pb = PhaseBreakdown::new(p.phase_names());
-        let out = simlocal::Runner::new(&p, &gg.graph, &ids)
-            .run_with(&mut pb)
-            .unwrap();
-        assert_eq!(pb.total_round_sum(), out.metrics.round_sum());
-        assert_eq!(pb.total_round_sum(), out.stats.steps);
+        let out = simlocal::Runner::new(&p, &gg.graph, &ids).run().unwrap();
+        let (steps, terms) = (&out.stats.phase_steps, &out.stats.phase_terminations);
+        assert_eq!(steps.len(), p.phase_names().len());
+        assert_eq!(steps.iter().sum::<u64>(), out.metrics.round_sum());
+        assert_eq!(steps.iter().sum::<u64>(), out.stats.steps);
         // Every vertex spends Delay's T rounds in the in-set phase plus
         // one Joined entry round.
-        assert_eq!(pb.round_sum(1), 512 * 4);
-        assert!(pb.round_sum(0) > 0, "partition phase consumed rounds");
+        assert_eq!(steps[1], 512 * 4);
+        assert!(steps[0] > 0, "partition phase consumed rounds");
         // All terminations happen inside 𝒜.
-        assert_eq!(pb.terminations(1), 512);
-        assert_eq!(pb.terminations(0), 0);
-        let va_sum: f64 = (0..pb.phases()).map(|i| pb.vertex_averaged(i, 512)).sum();
+        assert_eq!(terms[1], 512);
+        assert_eq!(terms[0], 0);
+        let va_sum: f64 = steps.iter().map(|&s| s as f64 / 512.0).sum();
         assert!((va_sum - out.metrics.vertex_averaged()).abs() < 1e-9);
     }
 

@@ -203,6 +203,8 @@ mod tests {
                     .collect();
                 let built = GraphBuilder::new(n).edges(edges.iter().copied()).build();
                 let normalized = edges.iter().map(|&(u, v)| (u.min(v), u.max(v))).collect();
+                let scanned = built.vertices().map(|v| built.degree(v)).max().unwrap_or(0);
+                prop_assert_eq!(built.max_degree(), scanned);
                 prop_assert_eq!(built, sorted_per_list(n, normalized));
             }
         }

@@ -30,6 +30,8 @@ pub struct Graph {
     edge_ids: Vec<EdgeId>,
     /// Endpoints `(u, v)` with `u < v` for each undirected edge id.
     edges: Vec<(VertexId, VertexId)>,
+    /// Maximum degree Δ, computed once at construction.
+    max_degree: usize,
 }
 
 impl Graph {
@@ -47,11 +49,17 @@ impl Graph {
             *offsets.last().expect("nonempty offsets") as usize,
             neighbors.len()
         );
+        let max_degree = offsets
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize)
+            .max()
+            .unwrap_or(0);
         let g = Graph {
             offsets,
             neighbors,
             edge_ids,
             edges,
+            max_degree,
         };
         debug_assert!(g.check_invariants());
         g
@@ -81,9 +89,10 @@ impl Graph {
         (self.offsets[v as usize + 1] - self.offsets[v as usize]) as usize
     }
 
-    /// Maximum degree Δ of the graph (0 for the empty graph).
+    /// Maximum degree Δ of the graph (0 for the empty graph). `O(1)`.
+    #[inline]
     pub fn max_degree(&self) -> usize {
-        self.vertices().map(|v| self.degree(v)).max().unwrap_or(0)
+        self.max_degree
     }
 
     /// The raw CSR offset array: `n + 1` entries, where

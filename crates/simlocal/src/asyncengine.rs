@@ -60,13 +60,15 @@
 //! Observer hooks fire on the coordinating thread *after* the run, in
 //! the sync engine's deterministic `(round, vertex)` order: shards record
 //! their step events (only when the observer is enabled) and the merge
-//! replays them. Telemetry fields match the sync engine exactly, except
+//! replays them. Every hook matches the sync engine's exactly, except
 //! per-round wall times, which measure shard-side round latency here.
+//! The per-phase tallies need no observer: each shard counts its own
+//! steps' phases and the merge sums them into `EngineStats`.
 //! Failed runs (round cap) replay the rounds that completed, like the
 //! sync engine's as-you-go hooks. The replay buffer costs `O(RoundSum)`
 //! memory on observed runs; unobserved runs record nothing.
 
-use crate::engine::{EngineError, EngineStats, RoundView, RunConfig, SimOutcome};
+use crate::engine::{EngineError, EngineStats, PhaseTally, RoundView, RunConfig, SimOutcome};
 use crate::metrics::RoundMetrics;
 use crate::obs::{Metric, Registry, ShardObs};
 use crate::observer::{NoObserver, Observer, RoundRecord};
@@ -283,6 +285,8 @@ struct ShardResult<P: Protocol> {
     term: Vec<u32>,
     msg_bits: u64,
     max_msg_bits: u64,
+    /// Per-phase steps and terminations of the owned vertices.
+    phases: PhaseTally,
     /// `Some(count)` when the shard hit the round cap with `count`
     /// vertices still active.
     still_active: Option<usize>,
@@ -354,6 +358,7 @@ fn shard_main<P: Protocol, Ob: Observer, T: Transport<P::Msg>>(
         term: vec![0; states.len()],
         msg_bits: 0,
         max_msg_bits: 0,
+        phases: PhaseTally::new(protocol),
         still_active: None,
         stalled: None,
         last_round: 0,
@@ -411,15 +416,16 @@ fn shard_main<P: Protocol, Ob: Observer, T: Transport<P::Msg>>(
         // owned vertex has stepped.
         for &v in &active {
             let vi = (v - lo) as usize;
+            let step = view.step(v, &states[vi]);
+            result.phases.count(step.phase, step.output.is_some());
             if Ob::ENABLED {
                 result.events.push(StepEvent {
                     round,
                     v,
-                    phase: protocol.phase_of(&states[vi]),
-                    terminated: false,
+                    phase: step.phase,
+                    terminated: step.output.is_some(),
                 });
             }
-            let step = view.step(v, &states[vi]);
             round_bits += step.bits;
             round_max = round_max.max(step.bits);
             entries.push(Update {
@@ -431,9 +437,6 @@ fn shard_main<P: Protocol, Ob: Observer, T: Transport<P::Msg>>(
             if let Some(o) = step.output {
                 result.outputs[vi] = Some(o);
                 result.term[vi] = round;
-                if Ob::ENABLED {
-                    result.events.last_mut().expect("just pushed").terminated = true;
-                }
             }
         }
         result.msg_bits += round_bits;
@@ -710,6 +713,7 @@ fn run_actors<P: Protocol, Ob: Observer, T: Transport<P::Msg>>(
     for res in results {
         stats.msg_bits += res.msg_bits;
         stats.max_msg_bits = stats.max_msg_bits.max(res.max_msg_bits);
+        res.phases.add_to(&mut stats);
         termination_round.extend(res.term);
         outputs.extend(
             res.outputs
@@ -929,8 +933,8 @@ impl<'a, P: Protocol> ActorRunner<'a, P> {
 mod tests {
     use super::*;
     use crate::engine::Runner;
-    use crate::observer::Telemetry;
     use crate::protocol::{StepCtx, Transition};
+    use crate::trace::{TraceEvent, TraceLog};
     use graphcore::gen;
 
     /// Vertex v waits v rounds then outputs the round it terminated in.
@@ -1021,6 +1025,11 @@ mod tests {
             assert_eq!(actor.metrics, sync.metrics, "{shards} shards");
             assert_eq!(actor.stats.steps, sync.stats.steps);
             assert_eq!(actor.stats.rounds, sync.stats.rounds);
+            assert_eq!(actor.stats.phase_steps, sync.stats.phase_steps);
+            assert_eq!(
+                actor.stats.phase_terminations,
+                sync.stats.phase_terminations
+            );
         }
     }
 
@@ -1080,24 +1089,31 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_replay_matches_sync_observer() {
+    fn trace_replay_matches_sync_observer() {
+        // Everything but round wall times: those measure shard latency.
+        fn untimed(log: TraceLog) -> Vec<TraceEvent> {
+            let mut events = log.events;
+            for e in &mut events {
+                if let TraceEvent::RoundEnd { wall_us, .. } = e {
+                    *wall_us = 0;
+                }
+            }
+            events
+        }
         let g = gen::grid(4, 5);
         let n = g.n();
-        let mut sync_t = Telemetry::new();
+        let mut sync_t = TraceLog::new();
         let sync = Runner::new(&Staircase, &g, &ids(n))
             .run_with(&mut sync_t)
             .unwrap();
-        let mut actor_t = Telemetry::new();
+        let mut actor_t = TraceLog::new();
         let actor = ActorRunner::new(&Staircase, &g, &ids(n))
             .shards(3)
             .run_with(&mut actor_t)
             .unwrap();
         assert_eq!(actor.outputs, sync.outputs);
-        assert_eq!(actor_t.active, sync_t.active);
-        assert_eq!(actor_t.publications, sync_t.publications);
-        assert_eq!(actor_t.msg_bits, sync_t.msg_bits);
-        assert_eq!(actor_t.max_msg_bits, sync_t.max_msg_bits);
-        assert_eq!(actor_t.terminations, sync_t.terminations);
+        assert_eq!(actor_t.terminate_events(), n as u64);
+        assert_eq!(untimed(actor_t), untimed(sync_t));
     }
 
     #[test]

@@ -39,21 +39,28 @@
 //! that terminated, and compacts the live-word list — all in one
 //! `O(active)` sweep in ascending vertex order.
 //!
-//! Observation does not choose the path. On an observed run each chunk
-//! also records `(vertex, phase of its pre-step state)` in an event
-//! buffer, and after the read phase the [`Observer`] hooks are replayed
-//! from those buffers in vertex order — the same sequence, sequential or
-//! parallel. A recorded run ([`Runner::run_recorded`]) is the same
-//! kernel with a message-log sink fed by the retire sweep.
+//! Observation does not choose the path, and aggregates need no
+//! observer. Every chunk tallies each step's phase (the
+//! [`Protocol::phase_of`] of its pre-step state) into its own per-phase
+//! step and termination counts, summed into
+//! [`EngineStats::phase_steps`] / [`EngineStats::phase_terminations`] at
+//! the end of the run. On an observed run each chunk also records
+//! `(vertex, phase)` in an event buffer, and after the read phase the
+//! [`Observer`] hooks are replayed from those buffers in vertex order —
+//! the same sequence, sequential or parallel. A recorded run
+//! ([`Runner::run_recorded`]) is the same kernel with a message-log sink
+//! fed by the retire sweep.
 //!
-//! The per-vertex step itself — build the [`StepCtx`], step, publish,
-//! charge the wire bits — is [`RoundView::step`], which the warm engine
-//! ([`crate::warm`]) and the actor shards ([`crate::asyncengine`]) call
-//! too.
+//! The per-vertex step itself — read the phase, build the [`StepCtx`],
+//! step, publish, charge the wire bits — is [`RoundView::step`], which
+//! the warm engine ([`crate::warm`]) and the actor shards
+//! ([`crate::asyncengine`]) call too; each tallies the phase it returns
+//! the same way.
 //!
 //! ## Allocation discipline
 //!
-//! Every slab and the sequential event buffer are sized at run start;
+//! Every slab, the per-chunk phase tallies and the sequential event
+//! buffer are sized at run start;
 //! because the active set only shrinks, steady-state sequential rounds
 //! allocate **nothing**, observed or not (the `zero_alloc` integration
 //! test pins this). Parallel rounds reuse their per-worker event buffers
@@ -227,6 +234,64 @@ pub struct EngineStats {
     pub max_msg_bits: u64,
     /// Rounds that actually fanned out to worker threads.
     pub parallel_rounds: u32,
+    /// Per-phase `RoundSum`: `phase_steps[p]` counts the steps whose
+    /// round belonged to phase `p` ([`Protocol::phase_of`] of the state
+    /// the vertex entered the round with). Indexed by [`PhaseId`], one
+    /// slot per [`Protocol::phase_names`] entry; the slots total the
+    /// run's `RoundSum`.
+    pub phase_steps: Vec<u64>,
+    /// `phase_terminations[p]` = vertices whose terminating round
+    /// belonged to phase `p`; the slots total the vertices that
+    /// terminated in the run.
+    pub phase_terminations: Vec<u64>,
+}
+
+/// Per-phase step and termination counts, indexed by [`PhaseId`]: what
+/// each chunk, shard and warm run tallies from [`VertexStep::phase`]
+/// before the totals land in [`EngineStats`].
+pub(crate) struct PhaseTally {
+    steps: Vec<u64>,
+    terminations: Vec<u64>,
+}
+
+impl PhaseTally {
+    /// A zeroed tally with one slot per phase `protocol` names.
+    pub(crate) fn new<P: Protocol>(protocol: &P) -> PhaseTally {
+        let phases = protocol.phase_names().len().max(1);
+        PhaseTally {
+            steps: vec![0; phases],
+            terminations: vec![0; phases],
+        }
+    }
+
+    /// Counts one step in phase `p`, and a termination if it ended there.
+    ///
+    /// # Panics
+    /// If `p` has no slot: [`Protocol::phase_of`] must return an index
+    /// into [`Protocol::phase_names`] (or 0 when that is empty).
+    #[inline]
+    pub(crate) fn count(&mut self, p: PhaseId, terminated: bool) {
+        assert!(
+            (p as usize) < self.steps.len(),
+            "Protocol::phase_of returned phase {p}, but phase_names declares {} slot(s)",
+            self.steps.len()
+        );
+        self.steps[p as usize] += 1;
+        self.terminations[p as usize] += terminated as u64;
+    }
+
+    /// Adds these counts to `stats`' per-phase slots.
+    pub(crate) fn add_to(&self, stats: &mut EngineStats) {
+        for (dst, src) in [
+            (&mut stats.phase_steps, &self.steps),
+            (&mut stats.phase_terminations, &self.terminations),
+        ] {
+            if dst.len() < src.len() {
+                dst.resize(src.len(), 0);
+            }
+            dst.iter_mut().zip(src).for_each(|(d, s)| *d += s);
+        }
+    }
 }
 
 /// A completed simulation: every vertex's output, the round metrics, and
@@ -435,10 +500,11 @@ pub(crate) struct RoundView<'a, P: Protocol> {
     pub(crate) active_words: &'a [u64],
 }
 
-/// What one vertex's step produced: its new state, its output if it
-/// terminated, and the message it publishes with that message's wire
-/// size.
+/// What one vertex's step produced: the phase its round belonged to, its
+/// new state, its output if it terminated, and the message it publishes
+/// with that message's wire size.
 pub(crate) struct VertexStep<P: Protocol> {
+    pub(crate) phase: PhaseId,
     pub(crate) state: P::State,
     pub(crate) output: Option<P::Output>,
     pub(crate) msg: P::Msg,
@@ -446,9 +512,11 @@ pub(crate) struct VertexStep<P: Protocol> {
 }
 
 impl<P: Protocol> RoundView<'_, P> {
-    /// Steps `v` from `state` and publishes the new state.
+    /// Steps `v` from `state` and publishes the new state. The phase is
+    /// read from `state`, before the step.
     #[inline]
     pub(crate) fn step(&self, v: VertexId, state: &P::State) -> VertexStep<P> {
+        let phase = self.protocol.phase_of(state);
         let ctx = StepCtx {
             graph: self.graph,
             ids: self.ids,
@@ -470,6 +538,7 @@ impl<P: Protocol> RoundView<'_, P> {
         let msg = self.protocol.publish(&state);
         let bits = msg.wire_bits();
         VertexStep {
+            phase,
             state,
             output,
             msg,
@@ -515,9 +584,16 @@ struct Slabs<P: Protocol> {
     term: SlabPtr<u32>,
 }
 
-/// Steps every active vertex of the live words `chunk` in place, and on
-/// observed runs records `(vertex, phase of its pre-step state)` in
-/// `events`. Returns the chunk's wire-bit sum and widest message.
+/// What one chunk of the read phase keeps across rounds: its per-phase
+/// tally, and its hook event buffer (filled on observed runs only).
+struct ChunkScratch {
+    tally: PhaseTally,
+    events: Vec<(VertexId, PhaseId)>,
+}
+
+/// Steps every active vertex of the live words `chunk` in place, tallying
+/// each step's phase, and on observed runs records `(vertex, phase)` in
+/// the event buffer. Returns the chunk's wire-bit sum and widest message.
 ///
 /// # Safety
 /// Every slab must have a slot per vertex, and no other thread may touch
@@ -526,7 +602,7 @@ unsafe fn step_chunk<P: Protocol, Ob: Observer>(
     view: &RoundView<'_, P>,
     chunk: &[u32],
     slabs: &Slabs<P>,
-    events: &mut Vec<(VertexId, PhaseId)>,
+    scratch: &mut ChunkScratch,
 ) -> (u64, u64) {
     let (mut bits_sum, mut bits_max) = (0u64, 0u64);
     for &wi in chunk {
@@ -538,11 +614,11 @@ unsafe fn step_chunk<P: Protocol, Ob: Observer>(
             // SAFETY: `v` is in bounds and belongs to this chunk only;
             // the borrowed state is dead before its slot is overwritten.
             unsafe {
-                let state = slabs.states.get(vu);
+                let s = view.step(v, slabs.states.get(vu));
+                scratch.tally.count(s.phase, s.output.is_some());
                 if Ob::ENABLED {
-                    events.push((v, view.protocol.phase_of(state)));
+                    scratch.events.push((v, s.phase));
                 }
-                let s = view.step(v, state);
                 bits_sum += s.bits;
                 bits_max = bits_max.max(s.bits);
                 slabs.msgs_next.set(vu, s.msg);
@@ -637,12 +713,18 @@ pub(crate) fn execute<P: Protocol, Ob: Observer>(
     let mut outputs: Vec<Option<P::Output>> = vec![None; n];
     let mut termination_round = vec![0u32; n];
     let mut active = ActiveSet::full(n);
-    // One hook event buffer per chunk, filled only on observed runs. The
-    // first serves sequential rounds and is sized for the whole active
-    // set up front — the active set only shrinks, so it never grows.
-    let mut events: Vec<Vec<(VertexId, PhaseId)>> = (0..workers).map(|_| Vec::new()).collect();
+    // Per-chunk scratch, kept across rounds. The first chunk's event
+    // buffer serves sequential rounds and, on observed runs, is sized for
+    // the whole active set up front — the active set only shrinks, so it
+    // never grows.
+    let mut scratch: Vec<ChunkScratch> = (0..workers)
+        .map(|_| ChunkScratch {
+            tally: PhaseTally::new(protocol),
+            events: Vec::new(),
+        })
+        .collect();
     if Ob::ENABLED {
-        events[0].reserve_exact(n);
+        scratch[0].events.reserve_exact(n);
     }
     let mut cuts: Vec<usize> = Vec::with_capacity(workers + 1);
     let mut active_per_round: Vec<usize> = Vec::with_capacity((max_rounds as usize).min(4096) + 1);
@@ -662,7 +744,9 @@ pub(crate) fn execute<P: Protocol, Ob: Observer>(
         let round_t0 = Ob::ENABLED.then(Instant::now);
         active_per_round.push(stepped);
         let obs_round_t0 = obs_on.then(Instant::now);
-        let events_cap_before: usize = events.iter().map(Vec::capacity).sum();
+        let events_cap =
+            |sc: &[ChunkScratch]| sc.iter().map(|c| c.events.capacity()).sum::<usize>();
+        let events_cap_before = events_cap(&scratch);
 
         // Read phase: one chunk of live words, or balanced cuts of them
         // on scoped threads.
@@ -695,18 +779,18 @@ pub(crate) fn execute<P: Protocol, Ob: Observer>(
         };
         // SAFETY: the slabs have n slots, and the chunks partition the
         // active set, so no two chunks touch the same slot.
-        let step = |chunk: &[u32], ev: &mut Vec<(VertexId, PhaseId)>| unsafe {
-            step_chunk::<P, Ob>(&view, chunk, &slabs, ev)
+        let step = |chunk: &[u32], sc: &mut ChunkScratch| unsafe {
+            step_chunk::<P, Ob>(&view, chunk, &slabs, sc)
         };
         let chunks = cuts
             .windows(2)
             .map(|w| &live[w[0]..w[1]])
-            .zip(events.iter_mut());
+            .zip(scratch.iter_mut());
         let fold = |(sum, max): (u64, u64), (s, m): (u64, u64)| (sum + s, max.max(m));
         let (round_bits, round_max_bits) = if fan_out {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = chunks
-                    .map(|(chunk, ev)| scope.spawn(move || step(chunk, ev)))
+                    .map(|(chunk, sc)| scope.spawn(move || step(chunk, sc)))
                     .collect();
                 handles
                     .into_iter()
@@ -714,15 +798,15 @@ pub(crate) fn execute<P: Protocol, Ob: Observer>(
                     .fold((0, 0), fold)
             })
         } else {
-            chunks.map(|(chunk, ev)| step(chunk, ev)).fold((0, 0), fold)
+            chunks.map(|(chunk, sc)| step(chunk, sc)).fold((0, 0), fold)
         };
         obs_lap(ob, Metric::EngineStepNs, step_t0);
 
         // Hook replay, in vertex order: chunks are ascending.
         if Ob::ENABLED {
             let publish_t0 = obs_on.then(Instant::now);
-            for ev in &mut events {
-                for (v, phase) in ev.drain(..) {
+            for sc in &mut scratch {
+                for (v, phase) in sc.events.drain(..) {
                     observer.on_phase(v, round, phase);
                     observer.on_step(v, round);
                     if termination_round[v as usize] == round {
@@ -771,7 +855,7 @@ pub(crate) fn execute<P: Protocol, Ob: Observer>(
             o.add(Metric::EnginePublications, stepped as u64);
             o.add(Metric::EngineMsgBits, round_bits);
             o.set(Metric::EngineActiveLast, active.count() as u64);
-            if events.iter().map(Vec::capacity).sum::<usize>() != events_cap_before {
+            if events_cap(&scratch) != events_cap_before {
                 o.add(Metric::EngineScratchReallocs, 1);
             }
             o.observe(
@@ -796,6 +880,9 @@ pub(crate) fn execute<P: Protocol, Ob: Observer>(
 
     stats.rounds = round;
     stats.wall = run_t0.elapsed();
+    for sc in &scratch {
+        sc.tally.add_to(&mut stats);
+    }
     let outputs = outputs
         .into_iter()
         .map(|o| o.expect("terminated vertex must have an output"))
@@ -813,8 +900,8 @@ pub(crate) fn execute<P: Protocol, Ob: Observer>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observer::Telemetry;
     use crate::protocol::{Protocol, StepCtx, Transition};
+    use crate::trace::{TraceEvent, TraceLog};
     use graphcore::{gen, Graph, IdAssignment, VertexId};
     use rand::Rng;
 
@@ -1060,6 +1147,36 @@ mod tests {
         assert!(err.to_string().contains("still active"));
     }
 
+    /// Names one phase but reports a second one.
+    struct StrayPhase;
+    impl Protocol for StrayPhase {
+        type State = ();
+        type Msg = ();
+        type Output = ();
+        fn init(&self, _: &Graph, _: &IdAssignment, _: VertexId) {}
+        fn publish(&self, _: &()) {}
+        fn step(&self, _: StepCtx<'_, ()>) -> Transition<(), ()> {
+            Transition::Terminate((), ())
+        }
+        fn phase_of(&self, _: &()) -> PhaseId {
+            1
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "phase_of returned phase 1, but phase_names declares 1 slot(s)")]
+    fn out_of_range_phase_names_the_contract() {
+        let g = gen::cycle(4);
+        let _ = Runner::new(&StrayPhase, &g, &ids(4)).run();
+    }
+
+    #[test]
+    #[should_panic(expected = "phase_of returned phase 1, but phase_names declares 1 slot(s)")]
+    fn out_of_range_phase_names_the_contract_on_the_reference_engine() {
+        let g = gen::cycle(4);
+        let _ = crate::reference::run_reference(&StrayPhase, &g, &ids(4), 1);
+    }
+
     #[test]
     fn max_rounds_override_wins() {
         let g = gen::cycle(4);
@@ -1145,24 +1262,46 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_matches_engine_accounting() {
+    fn trace_matches_engine_accounting() {
         let g = gen::path(5);
-        let mut t = Telemetry::new();
+        let mut t = TraceLog::new();
         let out = Runner::new(&FloodMax { rounds: 2 }, &g, &ids(5))
             .run_with(&mut t)
             .unwrap();
-        assert_eq!(t.active, out.metrics.active_per_round);
-        assert_eq!(t.total_publications(), out.stats.publications);
-        assert_eq!(t.total_msg_bits(), out.stats.msg_bits);
-        assert_eq!(t.peak_msg_bits(), out.stats.max_msg_bits);
-        assert_eq!(t.rounds() as u32, out.stats.rounds);
-        // Every vertex terminates exactly once, at its recorded round.
+        let (mut active, mut bits, mut peak) = (Vec::new(), 0, 0);
         let mut seen = [0u32; 5];
-        for &(v, r) in &t.terminations {
-            seen[v as usize] += 1;
-            assert_eq!(out.metrics.termination_round[v as usize], r);
+        for e in &t.events {
+            match *e {
+                TraceEvent::RoundEnd {
+                    active: a,
+                    publications,
+                    msg_bits,
+                    max_msg_bits,
+                    ..
+                } => {
+                    assert_eq!(publications, a);
+                    active.push(a);
+                    bits += msg_bits;
+                    peak = peak.max(max_msg_bits);
+                }
+                // Every vertex terminates exactly once, at its recorded
+                // round.
+                TraceEvent::Terminate { v, round } => {
+                    seen[v as usize] += 1;
+                    assert_eq!(out.metrics.termination_round[v as usize], round);
+                }
+                _ => {}
+            }
         }
+        assert_eq!(active, out.metrics.active_per_round);
+        assert_eq!(t.step_events(), out.stats.publications);
+        assert_eq!(bits, out.stats.msg_bits);
+        assert_eq!(peak, out.stats.max_msg_bits);
+        assert_eq!(t.rounds(), out.stats.rounds);
         assert!(seen.iter().all(|&c| c == 1));
+        // One phase: it holds the whole RoundSum and every termination.
+        assert_eq!(out.stats.phase_steps, vec![out.metrics.round_sum()]);
+        assert_eq!(out.stats.phase_terminations, vec![5]);
     }
 
     #[test]

@@ -59,8 +59,10 @@
 //! assert_eq!(outcome.stats.steps, outcome.metrics.round_sum());
 //! ```
 //!
-//! `run()` is the zero-overhead unobserved path; `run_with(&mut observer)`
-//! attaches an [`Observer`] for per-round telemetry (see [`observer`]).
+//! `run()` is the unobserved path, and its outcome already carries every
+//! aggregate: round metrics, wire accounting and the per-phase `RoundSum`
+//! split (`EngineStats::phase_steps`). `run_with(&mut observer)` attaches
+//! an [`Observer`] for the per-vertex event stream (see [`observer`]).
 //! The engine does sparse rounds — per-round work proportional to the
 //! active set — so wall time tracks `RoundSum`, not `n × worst-case`.
 
@@ -84,10 +86,10 @@ pub use engine::{
     EngineError, EngineStats, EngineTuning, RunConfig, Runner, SimOutcome, DEFAULT_PAR_THRESHOLD,
 };
 pub use metrics::{Percentiles, RoundMetrics};
-pub use observer::{NoObserver, Observer, RoundRecord, Tee, Telemetry};
+pub use observer::{NoObserver, Observer, RoundRecord};
 pub use protocol::{NeighborView, PhaseId, Protocol, StepCtx, Transition};
 pub use reference::run_reference;
-pub use trace::{Histogram, PhaseBreakdown, Profile, TraceEvent, TraceLog};
+pub use trace::{Histogram, TraceEvent, TraceLog};
 pub use warm::{Replay, WarmOutcome, WarmStart, WarmStats};
 
 pub use transport::{

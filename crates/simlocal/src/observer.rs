@@ -1,11 +1,17 @@
-//! Execution observers: pluggable per-round instrumentation.
+//! Execution observers: per-vertex event streams.
 //!
-//! The engine is monomorphized over an [`Observer`] type. The default,
+//! Every aggregate a run has is already in its outcome: the round
+//! metrics, the wire accounting and the per-phase `RoundSum` and
+//! termination counts ([`EngineStats`](crate::EngineStats)) are counted
+//! by the round step itself, observed or not. An [`Observer`] is only for
+//! what an aggregate cannot hold — the per-vertex event stream, as
+//! [`TraceLog`](crate::trace::TraceLog) records it.
+//!
+//! The engine is monomorphized over the observer type. The default,
 //! [`NoObserver`], has `ENABLED = false` and empty inline hooks, so an
-//! unobserved run compiles to exactly the bare engine — no timestamps are
-//! taken and no callback code is emitted. Attaching an observer (e.g.
-//! [`Telemetry`]) turns on per-round wall-clock timing and the full hook
-//! sequence:
+//! unobserved run records no hook events and takes no per-round clock
+//! reads. Attaching an enabled observer turns on per-round wall-clock
+//! timing and the full hook sequence:
 //!
 //! 1. [`Observer::on_round_start`] — before any vertex steps;
 //! 2. [`Observer::on_phase`] — once per `(active vertex, round)`, carrying
@@ -19,8 +25,7 @@
 //! 4. [`Observer::on_terminate`] — once per vertex, in its final round;
 //! 5. [`Observer::on_round_end`] — with the round's [`RoundRecord`].
 //!
-//! Observers compose with [`Tee`]; the tracing/profiling observers built
-//! on these hooks live in [`crate::trace`].
+//! The trace observer built on these hooks lives in [`crate::trace`].
 
 use crate::protocol::PhaseId;
 use graphcore::VertexId;
@@ -93,142 +98,9 @@ impl Observer for NoObserver {
     const ENABLED: bool = false;
 }
 
-/// Built-in telemetry collector: per-round wall time, publication counts,
-/// wire-bit accounting, and the active-set decay series.
-#[derive(Clone, Debug, Default)]
-pub struct Telemetry {
-    /// `active[i]` = vertices stepped in round `i + 1`.
-    pub active: Vec<usize>,
-    /// `publications[i]` = messages published in round `i + 1`.
-    pub publications: Vec<u64>,
-    /// `msg_bits[i]` = wire bits published in round `i + 1`.
-    pub msg_bits: Vec<u64>,
-    /// `max_msg_bits[i]` = widest message published in round `i + 1`.
-    pub max_msg_bits: Vec<u64>,
-    /// `wall[i]` = wall-clock duration of round `i + 1`.
-    pub wall: Vec<Duration>,
-    /// `(vertex, round)` termination events in engine order.
-    pub terminations: Vec<(VertexId, u32)>,
-}
-
-impl Telemetry {
-    /// Fresh, empty collector.
-    pub fn new() -> Telemetry {
-        Telemetry::default()
-    }
-
-    /// Number of rounds observed.
-    pub fn rounds(&self) -> usize {
-        self.active.len()
-    }
-
-    /// Total states published across the run (equals `RoundSum`).
-    pub fn total_publications(&self) -> u64 {
-        self.publications.iter().sum()
-    }
-
-    /// Total wire bits published across the run.
-    pub fn total_msg_bits(&self) -> u64 {
-        self.msg_bits.iter().sum()
-    }
-
-    /// Widest single message observed across the run, in bits.
-    pub fn peak_msg_bits(&self) -> u64 {
-        self.max_msg_bits.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Total wall-clock time across all observed rounds.
-    pub fn total_wall(&self) -> Duration {
-        self.wall.iter().sum()
-    }
-}
-
-impl Observer for Telemetry {
-    fn on_terminate(&mut self, v: VertexId, round: u32) {
-        self.terminations.push((v, round));
-    }
-
-    fn on_round_end(&mut self, record: &RoundRecord) {
-        debug_assert_eq!(record.round as usize, self.active.len() + 1);
-        self.active.push(record.active);
-        self.publications.push(record.publications as u64);
-        self.msg_bits.push(record.msg_bits);
-        self.max_msg_bits.push(record.max_msg_bits);
-        self.wall.push(record.wall);
-    }
-}
-
-/// Forwards every hook to two observers, so telemetry, tracing, and
-/// profiling compose in a single run: `Tee(a, Tee(b, c))` nests freely.
-///
-/// `ENABLED` is the OR of the halves, so teeing with [`NoObserver`]
-/// keeps the other half fully observed.
-#[derive(Clone, Debug, Default)]
-pub struct Tee<A, B>(pub A, pub B);
-
-impl<A: Observer, B: Observer> Observer for Tee<A, B> {
-    const ENABLED: bool = A::ENABLED || B::ENABLED;
-
-    fn on_round_start(&mut self, round: u32, active: usize) {
-        self.0.on_round_start(round, active);
-        self.1.on_round_start(round, active);
-    }
-
-    fn on_phase(&mut self, v: VertexId, round: u32, phase: PhaseId) {
-        self.0.on_phase(v, round, phase);
-        self.1.on_phase(v, round, phase);
-    }
-
-    fn on_step(&mut self, v: VertexId, round: u32) {
-        self.0.on_step(v, round);
-        self.1.on_step(v, round);
-    }
-
-    fn on_terminate(&mut self, v: VertexId, round: u32) {
-        self.0.on_terminate(v, round);
-        self.1.on_terminate(v, round);
-    }
-
-    fn on_round_end(&mut self, record: &RoundRecord) {
-        self.0.on_round_end(record);
-        self.1.on_round_end(record);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn telemetry_accumulates() {
-        let mut t = Telemetry::new();
-        t.on_round_start(1, 3);
-        t.on_step(0, 1);
-        t.on_terminate(2, 1);
-        t.on_round_end(&RoundRecord {
-            round: 1,
-            active: 3,
-            publications: 3,
-            msg_bits: 24,
-            max_msg_bits: 8,
-            wall: Duration::from_micros(5),
-        });
-        t.on_round_end(&RoundRecord {
-            round: 2,
-            active: 2,
-            publications: 2,
-            msg_bits: 16,
-            max_msg_bits: 8,
-            wall: Duration::from_micros(3),
-        });
-        assert_eq!(t.rounds(), 2);
-        assert_eq!(t.active, vec![3, 2]);
-        assert_eq!(t.total_publications(), 5);
-        assert_eq!(t.total_msg_bits(), 40);
-        assert_eq!(t.peak_msg_bits(), 8);
-        assert_eq!(t.total_wall(), Duration::from_micros(8));
-        assert_eq!(t.terminations, vec![(2, 1)]);
-    }
 
     #[test]
     fn no_observer_is_disabled() {
@@ -238,35 +110,6 @@ mod tests {
             Ob::ENABLED
         }
         assert!(!enabled::<NoObserver>());
-        assert!(enabled::<Telemetry>());
-    }
-
-    #[test]
-    fn tee_forwards_to_both_and_ors_enabled() {
-        fn enabled<Ob: Observer>() -> bool {
-            Ob::ENABLED
-        }
-        assert!(!enabled::<Tee<NoObserver, NoObserver>>());
-        assert!(enabled::<Tee<NoObserver, Telemetry>>());
-        assert!(enabled::<Tee<Telemetry, NoObserver>>());
-
-        let mut tee = Tee(Telemetry::new(), Telemetry::new());
-        tee.on_round_start(1, 2);
-        tee.on_phase(0, 1, 0);
-        tee.on_step(0, 1);
-        tee.on_terminate(1, 1);
-        tee.on_round_end(&RoundRecord {
-            round: 1,
-            active: 2,
-            publications: 2,
-            msg_bits: 16,
-            max_msg_bits: 8,
-            wall: Duration::from_micros(7),
-        });
-        for t in [&tee.0, &tee.1] {
-            assert_eq!(t.rounds(), 1);
-            assert_eq!(t.active, vec![2]);
-            assert_eq!(t.terminations, vec![(1, 1)]);
-        }
+        assert!(enabled::<crate::trace::TraceLog>());
     }
 }

@@ -91,8 +91,10 @@ pub trait Protocol: Sync {
 
     /// The phase that a round performed *from* `state` belongs to — i.e.
     /// the subroutine that consumes the round a vertex enters holding
-    /// `state`. Must index into [`Protocol::phase_names`]. Only called on
-    /// observed runs (the unobserved engine never evaluates phases).
+    /// `state`. Must index into [`Protocol::phase_names`]; an id past its
+    /// end panics the run, naming this contract. Called once per step on
+    /// every run, observed or not, so it must stay cheap: the engines
+    /// tally it into `EngineStats::phase_steps`.
     fn phase_of(&self, state: &Self::State) -> PhaseId {
         let _ = state;
         0

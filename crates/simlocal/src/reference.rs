@@ -11,7 +11,7 @@
 //! path.
 
 use crate::active::ActiveSet;
-use crate::engine::{EngineError, SimOutcome};
+use crate::engine::{EngineError, PhaseTally, SimOutcome};
 use crate::metrics::RoundMetrics;
 use crate::protocol::{NeighborView, Protocol, StepCtx, Transition};
 use crate::wire::WireSize;
@@ -39,6 +39,7 @@ pub fn run_reference<P: Protocol>(
     let mut termination_round = vec![0u32; n];
     let mut active_per_round = Vec::new();
     let mut stats = crate::engine::EngineStats::default();
+    let mut tally = PhaseTally::new(protocol);
 
     let mut round: u32 = 0;
     let mut remaining = n;
@@ -74,10 +75,12 @@ pub fn run_reference<P: Protocol>(
                 run_seed: seed,
             };
             stepped += 1;
+            let phase = protocol.phase_of(&prev[v as usize]);
             let (s, output) = match protocol.step(ctx) {
                 Transition::Continue(s) => (s, None),
                 Transition::Terminate(s, o) => (s, Some(o)),
             };
+            tally.count(phase, output.is_some());
             let msg = protocol.publish(&s);
             let bits = msg.wire_bits();
             stats.msg_bits += bits;
@@ -100,6 +103,7 @@ pub fn run_reference<P: Protocol>(
 
     stats.rounds = round;
     stats.wall = t0.elapsed();
+    tally.add_to(&mut stats);
     let outputs = outputs
         .into_iter()
         .map(|o| o.expect("terminated vertex must have an output"))

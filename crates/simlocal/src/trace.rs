@@ -1,21 +1,21 @@
-//! Structured tracing and profiling observers built on the hook sequence
-//! of [`crate::observer`].
-//!
-//! Three layers, freely composable via [`Tee`](crate::observer::Tee):
+//! Structured tracing on the hook sequence of [`crate::observer`].
 //!
 //! * [`TraceLog`] — records the full event stream (round start/end, per-
 //!   vertex steps with their [`PhaseId`], terminations) and exports it as
 //!   a JSONL event log ([`TraceLog::write_jsonl`]) or a Chrome-trace /
 //!   Perfetto JSON file ([`TraceLog::write_chrome_trace`]) openable in
 //!   `chrome://tracing`;
-//! * [`PhaseBreakdown`] — per-phase `RoundSum` and termination counts for
-//!   composed protocols, so the subroutine-level round accounting behind
-//!   the paper's Theorems 6.3–9.2 is observable, not just asserted;
-//! * [`Profile`] — log-bucketed [`Histogram`]s of termination rounds and
-//!   per-round wall times.
+//! * [`Histogram`] — a log₂-bucketed sample histogram, for summaries such
+//!   as termination rounds or round wall times built from a run's
+//!   metrics and events.
 //!
-//! None of this costs anything on unobserved runs: the engine only calls
-//! these hooks when the observer's `ENABLED` flag is true.
+//! Aggregates are not observers: the per-phase `RoundSum` and
+//! termination counts behind the paper's Theorems 6.3–9.2 are counted by
+//! the round step into
+//! [`EngineStats::phase_steps`](crate::EngineStats::phase_steps) and
+//! [`phase_terminations`](crate::EngineStats::phase_terminations) on
+//! every run. A [`TraceLog`] costs nothing on unobserved runs: the engine
+//! only calls its hooks when the observer's `ENABLED` flag is true.
 
 use crate::observer::{Observer, RoundRecord};
 use crate::protocol::PhaseId;
@@ -294,100 +294,6 @@ impl Observer for TraceLog {
     }
 }
 
-/// Per-phase `RoundSum` and termination accounting for composed protocols.
-///
-/// `steps[p]` counts the rounds consumed by phase `p` summed over all
-/// vertices — the phase's contribution to `RoundSum(V)`. The phase sums
-/// always total the run's `RoundSum` (every step belongs to exactly one
-/// phase), which is the identity the trace binary asserts.
-#[derive(Clone, Debug)]
-pub struct PhaseBreakdown {
-    names: Vec<String>,
-    steps: Vec<u64>,
-    terminations: Vec<u64>,
-    last_phase: PhaseId,
-}
-
-impl PhaseBreakdown {
-    /// Breakdown over the protocol's
-    /// [`phase_names`](crate::Protocol::phase_names).
-    pub fn new(names: &[&str]) -> PhaseBreakdown {
-        PhaseBreakdown {
-            names: names.iter().map(|s| s.to_string()).collect(),
-            steps: vec![0; names.len().max(1)],
-            terminations: vec![0; names.len().max(1)],
-            last_phase: 0,
-        }
-    }
-
-    fn grow(&mut self, p: usize) {
-        if p >= self.steps.len() {
-            self.steps.resize(p + 1, 0);
-            self.terminations.resize(p + 1, 0);
-        }
-    }
-
-    /// Name of phase `p` (`phase<N>` if unnamed).
-    pub fn name(&self, p: usize) -> String {
-        self.names
-            .get(p)
-            .cloned()
-            .unwrap_or_else(|| format!("phase{p}"))
-    }
-
-    /// Number of phases tracked.
-    pub fn phases(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// Phase `p`'s contribution to `RoundSum(V)`.
-    pub fn round_sum(&self, p: usize) -> u64 {
-        self.steps.get(p).copied().unwrap_or(0)
-    }
-
-    /// Vertices whose terminating round belonged to phase `p`.
-    pub fn terminations(&self, p: usize) -> u64 {
-        self.terminations.get(p).copied().unwrap_or(0)
-    }
-
-    /// Sum of all per-phase round sums — equals the run's `RoundSum`.
-    pub fn total_round_sum(&self) -> u64 {
-        self.steps.iter().sum()
-    }
-
-    /// Phase `p`'s contribution to the vertex-averaged complexity
-    /// (`round_sum(p) / n`); the per-phase VAs sum to the run's VA.
-    pub fn vertex_averaged(&self, p: usize, n: usize) -> f64 {
-        if n == 0 {
-            0.0
-        } else {
-            self.round_sum(p) as f64 / n as f64
-        }
-    }
-
-    /// `(name, round_sum, terminations)` per phase, in `PhaseId` order.
-    pub fn rows(&self) -> Vec<(String, u64, u64)> {
-        (0..self.phases())
-            .map(|p| (self.name(p), self.round_sum(p), self.terminations(p)))
-            .collect()
-    }
-}
-
-impl Observer for PhaseBreakdown {
-    fn on_phase(&mut self, _v: VertexId, _round: u32, phase: PhaseId) {
-        let p = phase as usize;
-        self.grow(p);
-        self.steps[p] += 1;
-        self.last_phase = phase;
-    }
-
-    // The publish loop fires `on_phase(v) … on_terminate(v)` back-to-back
-    // for a terminating vertex, so the most recent phase is v's phase.
-    fn on_terminate(&mut self, _v: VertexId, _round: u32) {
-        self.terminations[self.last_phase as usize] += 1;
-    }
-}
-
 /// A log₂-bucketed histogram of `u64` samples: bucket 0 holds zeros and
 /// bucket `i ≥ 1` holds values in `[2^(i-1), 2^i)`.
 #[derive(Clone, Debug, Default)]
@@ -481,33 +387,6 @@ impl Histogram {
     }
 }
 
-/// Profiling observer: log-bucketed histograms of termination rounds and
-/// per-round wall times (microseconds).
-#[derive(Clone, Debug, Default)]
-pub struct Profile {
-    /// Histogram of per-vertex running times `r(v)`.
-    pub termination_rounds: Histogram,
-    /// Histogram of round wall-clock durations, in µs.
-    pub round_wall_us: Histogram,
-}
-
-impl Profile {
-    /// Empty profile.
-    pub fn new() -> Profile {
-        Profile::default()
-    }
-}
-
-impl Observer for Profile {
-    fn on_terminate(&mut self, _v: VertexId, round: u32) {
-        self.termination_rounds.record(round as u64);
-    }
-
-    fn on_round_end(&mut self, record: &RoundRecord) {
-        self.round_wall_us.record(record.wall.as_micros() as u64);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -591,30 +470,6 @@ mod tests {
     }
 
     #[test]
-    fn phase_breakdown_sums_to_round_sum() {
-        let mut b = PhaseBreakdown::new(&["a", "b"]);
-        // Vertex 0: two rounds in phase a, then terminates in phase b.
-        b.on_phase(0, 1, 0);
-        b.on_phase(0, 2, 0);
-        b.on_phase(0, 3, 1);
-        b.on_terminate(0, 3);
-        // Vertex 1: terminates immediately in phase a.
-        b.on_phase(1, 1, 0);
-        b.on_terminate(1, 1);
-        assert_eq!(b.round_sum(0), 3);
-        assert_eq!(b.round_sum(1), 1);
-        assert_eq!(b.total_round_sum(), 4);
-        assert_eq!(b.terminations(0), 1);
-        assert_eq!(b.terminations(1), 1);
-        assert_eq!(b.vertex_averaged(0, 2), 1.5);
-        assert_eq!(
-            b.rows(),
-            vec![("a".into(), 3, 1), ("b".into(), 1, 1)],
-            "rows mirror the accessors"
-        );
-    }
-
-    #[test]
     fn histogram_buckets_by_bit_length() {
         let mut h = Histogram::new();
         for v in [0u64, 1, 2, 3, 4, 7, 8, 1000] {
@@ -631,15 +486,5 @@ mod tests {
         assert!((h.mean() - 1025.0 / 8.0).abs() < 1e-9);
         let text = h.render("termination rounds");
         assert!(text.contains("count 8"));
-    }
-
-    #[test]
-    fn profile_collects_both_histograms() {
-        let mut p = Profile::new();
-        p.on_terminate(0, 1);
-        p.on_terminate(1, 5);
-        p.on_round_end(&record(1, 2, 100));
-        assert_eq!(p.termination_rounds.count(), 2);
-        assert_eq!(p.round_wall_us.count(), 1);
     }
 }

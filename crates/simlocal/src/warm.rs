@@ -51,7 +51,9 @@
 //! vertices only, so `RoundMetrics::vertex_averaged` is the
 //! vertex-averaged update cost of the batch.
 
-use crate::engine::{execute, EngineError, EngineStats, RoundView, RunConfig, SimOutcome};
+use crate::engine::{
+    execute, EngineError, EngineStats, PhaseTally, RoundView, RunConfig, SimOutcome,
+};
 use crate::metrics::RoundMetrics;
 use crate::obs::{Metric, Registry};
 use crate::observer::NoObserver;
@@ -417,6 +419,7 @@ pub(crate) fn run_warm<P: Protocol>(
     let mut steps_buf = Vec::with_capacity(reactivated);
     let mut active_per_round: Vec<usize> = Vec::new();
     let mut stats = EngineStats::default();
+    let mut tally = PhaseTally::new(protocol);
 
     let mut round: u32 = 0;
     while !live.is_empty() {
@@ -444,6 +447,7 @@ pub(crate) fn run_warm<P: Protocol>(
         for (i, step) in steps_buf.drain(..).enumerate() {
             let v = live[i].0;
             let vu = v as usize;
+            tally.count(step.phase, step.output.is_some());
             stats.msg_bits += step.bits;
             stats.max_msg_bits = stats.max_msg_bits.max(step.bits);
             log.push(step.msg.clone());
@@ -481,6 +485,7 @@ pub(crate) fn run_warm<P: Protocol>(
 
     stats.rounds = round;
     stats.wall = run_t0.elapsed();
+    tally.add_to(&mut stats);
     // Stepping vertices contribute their recomputed trajectory, frozen
     // vertices carry the prior run's forward unchanged. The outcome's
     // termination rounds stay 0 for frozen (update cost); the replay's

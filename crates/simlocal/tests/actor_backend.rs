@@ -84,6 +84,14 @@ impl Protocol for Stagger {
             Transition::Continue(dead)
         }
     }
+    // Two phases, so the shards' per-phase tallies have a split to keep:
+    // rounds entered before any neighbor died vs. after.
+    fn phase_names(&self) -> &'static [&'static str] {
+        &["quiet", "draining"]
+    }
+    fn phase_of(&self, state: &u32) -> simlocal::PhaseId {
+        (*state > 0) as simlocal::PhaseId
+    }
 }
 
 /// A heap-payload message with a hand-written codec: the TCP transport
@@ -206,6 +214,14 @@ where
             sync.stats.rounds, actor.stats.rounds,
             "{shards}-shard rounds"
         );
+        assert_eq!(
+            sync.stats.phase_steps, actor.stats.phase_steps,
+            "{shards}-shard phase steps"
+        );
+        assert_eq!(
+            sync.stats.phase_terminations, actor.stats.phase_terminations,
+            "{shards}-shard phase terminations"
+        );
         // The publications identity holds on the actor path too.
         assert_eq!(actor.stats.steps, actor.metrics.round_sum());
         assert_eq!(actor.stats.publications, actor.metrics.round_sum());
@@ -238,6 +254,11 @@ where
     assert_eq!(
         sync.stats.max_msg_bits, tcp.stats.max_msg_bits,
         "tcp max_msg_bits"
+    );
+    assert_eq!(sync.stats.phase_steps, tcp.stats.phase_steps, "tcp phases");
+    assert_eq!(
+        sync.stats.phase_terminations, tcp.stats.phase_terminations,
+        "tcp phase terminations"
     );
 }
 
@@ -345,4 +366,38 @@ fn actor_matches_sync_across_id_permutations() {
     assert_eq!(sync.outputs, actor.outputs);
     assert_eq!(sync.metrics, actor.metrics);
     assert_eq!(sync.stats.msg_bits, actor.stats.msg_bits);
+}
+
+/// Names one phase but reports a second one.
+struct StrayPhase;
+impl Protocol for StrayPhase {
+    type State = ();
+    type Msg = ();
+    type Output = ();
+    fn init(&self, _: &Graph, _: &IdAssignment, _: VertexId) {}
+    fn publish(&self, _: &()) {}
+    fn step(&self, _: StepCtx<'_, ()>) -> Transition<(), ()> {
+        Transition::Terminate((), ())
+    }
+    fn phase_of(&self, _: &()) -> simlocal::PhaseId {
+        1
+    }
+}
+
+#[test]
+fn out_of_range_phase_crash_names_the_contract() {
+    // The tally panics on a shard thread; the run ends with the stall
+    // diagnostic, which carries the crash message.
+    let g = gen::cycle(8);
+    let ids = IdAssignment::identity(g.n());
+    let err = ActorRunner::new(&StrayPhase, &g, &ids)
+        .shards(2)
+        .stall_timeout(std::time::Duration::from_secs(5))
+        .run()
+        .unwrap_err();
+    let msg = err.to_string();
+    assert!(
+        msg.contains("phase_of returned phase 1, but phase_names declares 1 slot(s)"),
+        "{msg}"
+    );
 }

@@ -8,8 +8,8 @@ use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use simlocal::{
-    run_reference, EngineTuning, Observer, Protocol, RoundRecord, Runner, StepCtx, Telemetry,
-    Transition,
+    run_reference, EngineTuning, Observer, Protocol, RoundRecord, Runner, StepCtx, TraceEvent,
+    TraceLog, Transition,
 };
 
 /// Tuning that forces genuine thread fan-out on every round, regardless
@@ -211,7 +211,7 @@ fn family_graph(pick: u8, n: usize, a: usize, seed: u64) -> Graph {
 
 /// Every way of running the one kernel — plain or observed, sequential
 /// or under forced fan-out — must match the dense reference engine:
-/// outputs, metrics, work and wire accounting.
+/// outputs, metrics, work, wire accounting and the per-phase tallies.
 fn assert_outcomes_identical<P>(p: &P, g: &Graph, seed: u64)
 where
     P: Protocol,
@@ -223,8 +223,9 @@ where
     let par = || seq().parallel().tuning(fan_out());
     let plain = seq().run().unwrap();
     let fanned = par().run().unwrap();
-    let observed = seq().run_with(&mut Telemetry::new()).unwrap();
-    let observed_fanned = par().run_with(&mut Telemetry::new()).unwrap();
+    let mut hooks = Counting::default();
+    let observed = seq().run_with(&mut hooks).unwrap();
+    let observed_fanned = par().run_with(&mut Counting::default()).unwrap();
     if g.n() > 0 {
         assert!(fanned.stats.parallel_rounds > 0, "threshold 1 must fan out");
         assert!(observed_fanned.stats.parallel_rounds > 0);
@@ -246,7 +247,30 @@ where
             run.stats.max_msg_bits, dense.stats.max_msg_bits,
             "{label} max bits"
         );
+        assert_eq!(
+            run.stats.phase_steps, dense.stats.phase_steps,
+            "{label} phase steps"
+        );
+        assert_eq!(
+            run.stats.phase_terminations, dense.stats.phase_terminations,
+            "{label} phase terminations"
+        );
     }
+    // The per-phase tallies are the per-phase RoundSum and termination
+    // counts: they total RoundSum and n, and the hooks agree with them.
+    assert_eq!(
+        dense.stats.phase_steps.iter().sum::<u64>(),
+        dense.metrics.round_sum()
+    );
+    assert_eq!(
+        dense.stats.phase_terminations.iter().sum::<u64>(),
+        g.n() as u64
+    );
+    let mut hook_phases = vec![0u64; dense.stats.phase_steps.len()];
+    for &(_, _, p) in &hooks.phases {
+        hook_phases[p as usize] += 1;
+    }
+    assert_eq!(hook_phases, dense.stats.phase_steps, "hook phases");
     // The dense engine publishes the same messages but touches n per round.
     assert_eq!(dense.stats.publications, plain.stats.publications);
     assert_eq!(dense.stats.rounds as u64 * g.n() as u64, dense.stats.steps);
@@ -319,16 +343,18 @@ proptest! {
         // between sequential and parallel execution.
         let g = family_graph(pick, n, 2, gseed);
         let ids = IdAssignment::identity(g.n());
-        let mut seq = simlocal::Telemetry::new();
+        let mut seq = Counting::default();
         Runner::new(&SplitWire, &g, &ids).run_with(&mut seq).unwrap();
-        let mut par = simlocal::Telemetry::new();
+        let mut par = Counting::default();
         Runner::new(&SplitWire, &g, &ids)
             .parallel()
             .tuning(fan_out())
             .run_with(&mut par)
             .unwrap();
-        prop_assert_eq!(&seq.msg_bits, &par.msg_bits);
-        prop_assert_eq!(&seq.max_msg_bits, &par.max_msg_bits);
+        let bits = |c: &Counting| -> Vec<(u64, u64)> {
+            c.round_ends.iter().map(|r| (r.msg_bits, r.max_msg_bits)).collect()
+        };
+        prop_assert_eq!(bits(&seq), bits(&par));
     }
 
     #[test]
@@ -342,14 +368,13 @@ proptest! {
         let g = family_graph(pick, n, 2, gseed);
         let ids = IdAssignment::identity(g.n());
         let plain = Runner::new(&SplitWire, &g, &ids).run().unwrap();
-        let mut obs = simlocal::Tee(simlocal::TraceLog::new(), simlocal::Telemetry::new());
+        let mut obs = TraceLog::new();
         let traced = Runner::new(&SplitWire, &g, &ids).run_with(&mut obs).unwrap();
         prop_assert_eq!(&plain.outputs, &traced.outputs);
         prop_assert_eq!(&plain.metrics, &traced.metrics);
         prop_assert_eq!(plain.stats.msg_bits, traced.stats.msg_bits);
         prop_assert_eq!(plain.stats.max_msg_bits, traced.stats.max_msg_bits);
-        prop_assert_eq!(obs.1.total_msg_bits(), plain.stats.msg_bits);
-        prop_assert_eq!(obs.1.peak_msg_bits(), plain.stats.max_msg_bits);
+        prop_assert_eq!(trace_bits(&obs), (plain.stats.msg_bits, plain.stats.max_msg_bits));
     }
 
     #[test]
@@ -414,31 +439,41 @@ proptest! {
         // byte-for-byte, and the trace totals match the engine's.
         let g = family_graph(pick, n, 2, gseed);
         let ids = IdAssignment::identity(g.n());
-        let mut obs = simlocal::Tee(
-            simlocal::TraceLog::with_phases(Stagger.phase_names()),
-            simlocal::Telemetry::new(),
-        );
+        let mut obs = TraceLog::with_phases(Stagger.phase_names());
         let traced = Runner::new(&Stagger, &g, &ids).run_with(&mut obs).unwrap();
         let dense = run_reference(&Stagger, &g, &ids, 0).unwrap();
         prop_assert_eq!(&traced.outputs, &dense.outputs);
         prop_assert_eq!(&traced.metrics, &dense.metrics);
-        prop_assert_eq!(obs.0.step_events(), traced.metrics.round_sum());
-        prop_assert_eq!(obs.0.terminate_events() as usize, g.n());
-        prop_assert_eq!(obs.0.rounds(), traced.stats.rounds);
+        prop_assert_eq!(obs.step_events(), traced.metrics.round_sum());
+        prop_assert_eq!(obs.terminate_events() as usize, g.n());
+        prop_assert_eq!(obs.rounds(), traced.stats.rounds);
     }
 
     #[test]
-    fn telemetry_series_match_metrics(n in 4usize..100, seed in any::<u64>()) {
+    fn round_series_match_metrics(n in 4usize..100, seed in any::<u64>()) {
         let g = gen::cycle(n.max(3));
         let ids = IdAssignment::identity(g.n());
-        let mut t = simlocal::Telemetry::new();
+        let mut t = Counting::default();
         let out = Runner::new(&CoinFlip, &g, &ids).seed(seed).run_with(&mut t).unwrap();
-        prop_assert_eq!(&t.active, &out.metrics.active_per_round);
-        let pubs: Vec<u64> = out.metrics.active_per_round.iter().map(|&a| a as u64).collect();
-        prop_assert_eq!(&t.publications, &pubs);
-        prop_assert_eq!(t.total_publications(), out.metrics.round_sum());
-        prop_assert_eq!(t.terminations.len(), g.n());
+        let active: Vec<usize> = t.round_ends.iter().map(|r| r.active).collect();
+        prop_assert_eq!(&active, &out.metrics.active_per_round);
+        let pubs: Vec<usize> = t.round_ends.iter().map(|r| r.publications).collect();
+        prop_assert_eq!(&pubs, &out.metrics.active_per_round);
+        prop_assert_eq!(pubs.iter().sum::<usize>() as u64, out.metrics.round_sum());
+        prop_assert_eq!(t.terminates.len(), g.n());
     }
+}
+
+/// Run totals `(wire bits, widest message)` of a trace's round records.
+fn trace_bits(log: &TraceLog) -> (u64, u64) {
+    log.events.iter().fold((0, 0), |(sum, max), e| match *e {
+        TraceEvent::RoundEnd {
+            msg_bits,
+            max_msg_bits,
+            ..
+        } => (sum + msg_bits, max.max(max_msg_bits)),
+        _ => (sum, max),
+    })
 }
 
 /// Observer that counts every hook invocation.
@@ -573,12 +608,16 @@ fn observed_and_unobserved_runs_are_identical() {
     let g = gen::grid(5, 6);
     let ids = IdAssignment::identity(g.n());
     let plain = Runner::new(&CoinFlip, &g, &ids).seed(11).run().unwrap();
-    let mut t = simlocal::Telemetry::new();
     let observed = Runner::new(&CoinFlip, &g, &ids)
         .seed(11)
-        .run_with(&mut t)
+        .run_with(&mut Counting::default())
         .unwrap();
     assert_eq!(plain.outputs, observed.outputs);
     assert_eq!(plain.metrics, observed.metrics);
     assert_eq!(plain.stats.steps, observed.stats.steps);
+    assert_eq!(plain.stats.phase_steps, observed.stats.phase_steps);
+    assert_eq!(
+        plain.stats.phase_terminations,
+        observed.stats.phase_terminations
+    );
 }

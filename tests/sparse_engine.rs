@@ -8,7 +8,7 @@ use benchharness::forest_workload;
 use distsym::algos::mis::MisExtension;
 use distsym::algos::Partition;
 use distsym::graphcore::IdAssignment;
-use distsym::simlocal::{run_reference, EngineTuning, Runner, Telemetry};
+use distsym::simlocal::{run_reference, EngineTuning, Protocol, Runner, TraceEvent, TraceLog};
 
 const N: usize = 1 << 16;
 
@@ -75,17 +75,33 @@ fn per_round_telemetry_mirrors_active_set_decay() {
     let n = 1 << 12;
     let gg = forest_workload(n, 2, 5);
     let ids = IdAssignment::identity(n);
-    let mut t = Telemetry::new();
-    let out = Runner::new(&MisExtension::new(2), &gg.graph, &ids)
-        .run_with(&mut t)
-        .unwrap();
-    assert_eq!(t.active, out.metrics.active_per_round);
-    assert_eq!(t.total_publications(), out.metrics.round_sum());
-    assert_eq!(t.rounds() as u32, out.stats.rounds);
-    assert_eq!(t.wall.len(), t.active.len());
+    let p = MisExtension::new(2);
+    let mut t = TraceLog::with_phases(p.phase_names());
+    let out = Runner::new(&p, &gg.graph, &ids).run_with(&mut t).unwrap();
+    let (mut active, mut pubs, mut starts) = (Vec::new(), 0u64, 0u32);
+    for e in &t.events {
+        match *e {
+            TraceEvent::RoundStart { .. } => starts += 1,
+            TraceEvent::RoundEnd {
+                active: a,
+                publications,
+                ..
+            } => {
+                active.push(a);
+                pubs += publications as u64;
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(active, out.metrics.active_per_round);
+    assert_eq!(pubs, out.metrics.round_sum());
+    assert_eq!(t.rounds(), out.stats.rounds);
+    assert_eq!(starts, t.rounds(), "every round timed start to end");
+    // The per-phase split of the same work totals it.
+    assert_eq!(out.stats.phase_steps.iter().sum::<u64>(), out.stats.steps);
     // The active series is the engine's actual per-round work, so the
     // whole run's work is its sum — not rounds × n.
-    let series_sum: u64 = t.active.iter().map(|&a| a as u64).sum();
+    let series_sum: u64 = active.iter().map(|&a| a as u64).sum();
     assert_eq!(series_sum, out.stats.steps);
     assert!(series_sum < out.stats.rounds as u64 * n as u64);
 }
